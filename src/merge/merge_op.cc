@@ -60,31 +60,6 @@ std::vector<std::vector<size_t>> PartitionSubtrees(
 
 }  // namespace
 
-Status MergeOperation::SeedCheckpoints(pipeline::Executor* executor,
-                                       const SearchSpace& space,
-                                       const std::string& head_branch,
-                                       const std::string& merge_branch,
-                                       std::set<Hash256>* checkpoint_keys) {
-  // Checkpoints come from every pipeline trained in the history relevant to
-  // the merge: the common ancestor plus the commits on both branches.
-  std::vector<const version::Commit*> commits;
-  MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor,
-                          repo_->Get(space.common_ancestor));
-  commits.push_back(ancestor);
-  for (const std::string& branch : {head_branch, merge_branch}) {
-    MLCASK_ASSIGN_OR_RETURN(const version::Commit* head, repo_->Head(branch));
-    for (const version::Commit* c :
-         repo_->graph().CommitsSince(head->id, space.common_ancestor)) {
-      commits.push_back(c);
-    }
-  }
-  for (const version::Commit* commit : commits) {
-    MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromCommit(
-        *commit, *libraries_, engine_, executor, checkpoint_keys));
-  }
-  return Status::Ok();
-}
-
 pipeline::ExecutionCore* MergeOperation::ShardCore(size_t shard,
                                                    size_t real_threads) {
   std::lock_guard<std::mutex> lock(shard_core_mu_);
@@ -141,8 +116,8 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
 
   // One trial executor per shard (single-node = exactly one): each shard's
   // artifact cache is private — the real deployment this models keeps trial
-  // outputs on the worker that computed them — so every shard seeds its own
-  // checkpoints from the shared storage engine.
+  // outputs on the worker that computed them. The checkpoints are read from
+  // storage once per merge and every shard's cache is seeded from them.
   const size_t num_shards = std::max<size_t>(1, options.shards);
   pipeline::ArtifactCache::Options cache_options;
   cache_options.max_bytes = options.cache_max_bytes;
@@ -154,10 +129,13 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
   }
   std::set<Hash256> checkpoint_keys;
   if (options.reuse_outputs) {
+    // The green nodes of Fig. 4, read once and copied into every shard.
+    MLCASK_ASSIGN_OR_RETURN(
+        std::vector<pipeline::Checkpoint> checkpoints,
+        pipeline::ReadCheckpoints(space.history, *libraries_, engine_));
     for (std::unique_ptr<pipeline::Executor>& executor : executors) {
-      MLCASK_RETURN_IF_ERROR(SeedCheckpoints(executor.get(), space,
-                                             head_branch, merge_branch,
-                                             &checkpoint_keys));
+      MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutor(
+          checkpoints, executor.get(), &checkpoint_keys));
     }
     report.checkpoints_marked =
         tree.MarkCheckpoints([&](const CandidateChain& chain) {
@@ -166,10 +144,7 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
         });
   }
 
-  MLCASK_ASSIGN_OR_RETURN(const version::Commit* head_commit,
-                          repo_->Head(head_branch));
   const std::string pipeline_name = repo_->name();
-  (void)head_commit;
 
   std::vector<CandidateChain> candidates = tree.Candidates();
   report.candidates_considered = candidates.size();
@@ -191,14 +166,9 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
   // Assign candidate subtrees to shards. Single-node keeps the whole DFS
   // list on shard 0 — the partitioner degenerates to one group list there,
   // so both modes share one drain implementation.
-  std::vector<size_t> shard_of(candidates.size(), 0);
-  std::vector<std::vector<size_t>> shard_lists;
-  if (num_shards > 1) {
-    shard_lists = PartitionSubtrees(candidates, num_shards, &shard_of);
-  } else {
-    shard_lists.emplace_back(candidates.size());
-    std::iota(shard_lists[0].begin(), shard_lists[0].end(), 0);
-  }
+  std::vector<size_t> shard_of;
+  const std::vector<std::vector<size_t>> shard_lists =
+      PartitionSubtrees(candidates, num_shards, &shard_of);
   report.shards_used = num_shards;
   for (const std::vector<size_t>& list : shard_lists) {
     report.shard_candidates.push_back(list.size());
@@ -245,14 +215,8 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
           index = indices[cursor++];
           clock.AdvanceTo(worker_slots.ClaimEarliest());
         }
-        const CandidateChain& chain = candidates[index];
-        std::vector<pipeline::ComponentVersionSpec> specs;
-        specs.reserve(chain.size());
-        for (const pipeline::ComponentVersionSpec* s : chain) {
-          specs.push_back(*s);
-        }
         StatusOr<pipeline::Pipeline> p =
-            pipeline::Pipeline::Chain(pipeline_name, specs);
+            ChainPipeline(pipeline_name, candidates[index]);
         StatusOr<pipeline::PipelineRunResult> run = p.status();
         if (p.ok()) {
           pipeline::ExecutorOptions candidate_eo = eo;
@@ -397,14 +361,8 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
         // prefix is pinned, so the re-run resumes there and recomputes
         // exactly one component) and charge the time like any other
         // cap-induced recomputation.
-        std::vector<pipeline::ComponentVersionSpec> specs;
-        specs.reserve(prefix.size());
-        for (const pipeline::ComponentVersionSpec* s : prefix) {
-          specs.push_back(*s);
-        }
-        MLCASK_ASSIGN_OR_RETURN(
-            pipeline::Pipeline p,
-            pipeline::Pipeline::Chain(pipeline_name, specs));
+        MLCASK_ASSIGN_OR_RETURN(pipeline::Pipeline p,
+                                ChainPipeline(pipeline_name, prefix));
         pipeline::ExecutorOptions rerun_eo = eo;
         rerun_eo.reuse_cached_outputs = true;
         SimClock rerun_clock;

@@ -169,14 +169,6 @@ class MergeOperation {
                               const MergeOptions& options);
 
  private:
-  /// Seeds the executor cache with checkpoints recorded in the history of
-  /// both branches (the green nodes of Fig. 4).
-  Status SeedCheckpoints(pipeline::Executor* executor,
-                         const SearchSpace& space,
-                         const std::string& head_branch,
-                         const std::string& merge_branch,
-                         std::set<Hash256>* checkpoint_keys);
-
   /// Per-shard ExecutionCore for sharded drains: built lazily ONCE per
   /// MergeOperation and reused by every later call, per the pool-ownership
   /// rules in execution_core.h. `real_threads` sizes a core the first time

@@ -8,16 +8,12 @@
 
 #include "common/rng.h"
 #include "merge/compat_lut.h"
-#include "pipeline/checkout.h"
 #include "pipeline/execution_core.h"
 
 namespace mlcask::merge {
 
 Status PrioritizedSearch::Prepare(const std::string& head_branch,
                                   const std::string& merge_branch) {
-  head_branch_ = head_branch;
-  merge_branch_ = merge_branch;
-
   MLCASK_ASSIGN_OR_RETURN(
       SearchSpace space,
       BuildSearchSpace(*repo_, *libraries_, head_branch, merge_branch));
@@ -40,29 +36,18 @@ Status PrioritizedSearch::Prepare(const std::string& head_branch,
   for (size_t i = 0; i < candidates_.size(); ++i) {
     key_to_index[pipeline::Executor::ChainKey(candidates_[i])] = i;
   }
-  MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor,
-                          repo_->Get(space_->common_ancestor));
-  std::vector<const version::Commit*> commits{ancestor};
-  for (const std::string& branch : {head_branch, merge_branch}) {
-    MLCASK_ASSIGN_OR_RETURN(const version::Commit* head, repo_->Head(branch));
-    for (const version::Commit* c :
-         repo_->graph().CommitsSince(head->id, space_->common_ancestor)) {
-      commits.push_back(c);
-    }
-  }
-  for (const version::Commit* commit : commits) {
+  MLCASK_ASSIGN_OR_RETURN(checkpoints_,
+                          pipeline::ReadCheckpoints(space_->history,
+                                                    *libraries_, engine_));
+  for (const version::Commit* commit : space_->history) {
     if (!commit->snapshot.has_score()) continue;
-    bool resolved = true;
+    // ReadCheckpoints above already resolved every record of these commits.
     std::vector<const pipeline::ComponentVersionSpec*> ptrs;
     for (const version::ComponentRecord& rec : commit->snapshot.components) {
-      auto spec = libraries_->Get(rec.name, rec.version);
-      if (!spec.ok()) {
-        resolved = false;
-        break;
-      }
-      ptrs.push_back(*spec);
+      MLCASK_ASSIGN_OR_RETURN(const pipeline::ComponentVersionSpec* spec,
+                              libraries_->Get(rec.name, rec.version));
+      ptrs.push_back(spec);
     }
-    if (!resolved) continue;
     auto it = key_to_index.find(pipeline::Executor::ChainKey(ptrs));
     if (it != key_to_index.end()) {
       initial_scores_[it->second] = commit->snapshot.score;
@@ -74,12 +59,8 @@ Status PrioritizedSearch::Prepare(const std::string& head_branch,
 StatusOr<SearchStep> PrioritizedSearch::RunCandidate(
     pipeline::Executor* executor, SimClock* clock, size_t index,
     uint64_t seed) {
-  const CandidateChain& chain = candidates_[index];
-  std::vector<pipeline::ComponentVersionSpec> specs;
-  specs.reserve(chain.size());
-  for (const pipeline::ComponentVersionSpec* s : chain) specs.push_back(*s);
   MLCASK_ASSIGN_OR_RETURN(pipeline::Pipeline p,
-                          pipeline::Pipeline::Chain(repo_->name(), specs));
+                          ChainPipeline(repo_->name(), candidates_[index]));
   pipeline::ExecutorOptions eo;
   eo.reuse_cached_outputs = true;
   eo.precheck_compatibility = false;  // tree is already PC-pruned
@@ -107,23 +88,7 @@ StatusOr<TrialResult> PrioritizedSearch::RunTrial(const TrialOptions& options) {
 
   // PR: seed the executor with checkpoints from history so shared prefixes
   // are free, exactly as the real merge does.
-  {
-    MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor,
-                            repo_->Get(space_->common_ancestor));
-    std::vector<const version::Commit*> commits{ancestor};
-    for (const std::string& branch : {head_branch_, merge_branch_}) {
-      MLCASK_ASSIGN_OR_RETURN(const version::Commit* head,
-                              repo_->Head(branch));
-      for (const version::Commit* c :
-           repo_->graph().CommitsSince(head->id, space_->common_ancestor)) {
-        commits.push_back(c);
-      }
-    }
-    for (const version::Commit* commit : commits) {
-      MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromCommit(
-          *commit, *libraries_, engine_, &executor));
-    }
-  }
+  MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutor(checkpoints_, &executor));
 
   const size_t num_workers = std::max<size_t>(1, options.num_workers);
   TrialResult trial;

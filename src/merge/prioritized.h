@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "merge/merge_op.h"
 #include "merge/search_tree.h"
+#include "pipeline/checkout.h"
 
 namespace mlcask::merge {
 
@@ -76,7 +77,8 @@ class PrioritizedSearch {
         engine_(engine) {}
 
   /// Builds the search context for merging `merge_branch` into
-  /// `head_branch`: search space, PC-pruned tree, and initial scores.
+  /// `head_branch`: search space, PC-pruned tree, initial scores, and the
+  /// history checkpoints every trial is seeded with.
   Status Prepare(const std::string& head_branch,
                  const std::string& merge_branch);
 
@@ -92,7 +94,7 @@ class PrioritizedSearch {
 
   /// Runs one trial: visits all candidates in the mode's order, measuring
   /// simulated end time and score per step. Each trial uses a fresh executor
-  /// (seeded with history checkpoints) and `seed` for model training, so
+  /// (seeded with Prepare's checkpoints) and `seed` for model training, so
   /// repeated trials vary realistically. With options.num_workers > 1 the
   /// frontier is drained concurrently on the ExecutionCore; steps are
   /// reported in virtual end-time order.
@@ -125,8 +127,8 @@ class PrioritizedSearch {
   /// Initial scores for leaves that correspond to pipelines trained in
   /// history (keyed by candidate index).
   std::unordered_map<size_t, double> initial_scores_;
-  std::string head_branch_;
-  std::string merge_branch_;
+  /// PR: the checkpoints every trial's executor is seeded with.
+  std::vector<pipeline::Checkpoint> checkpoints_;
   /// Fallback pool for trials that inject no TrialOptions::core; built at
   /// most once per search, not per trial.
   pipeline::LazyExecutionCore fallback_core_;

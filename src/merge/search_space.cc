@@ -35,15 +35,16 @@ StatusOr<SearchSpace> BuildSearchSpace(const version::PipelineRepo& repo,
 
   // Gather commits: the ancestor itself plus everything developed on both
   // branches since (S = S_HEAD ∪ S_MERGE_HEAD).
-  std::vector<const version::Commit*> commits{ancestor_commit};
+  space.history.push_back(ancestor_commit);
   for (const std::string& branch : {head_branch, merge_branch}) {
     MLCASK_ASSIGN_OR_RETURN(const version::Commit* head, repo.Head(branch));
-    for (const version::Commit* c : repo.graph().CommitsSince(head->id, ancestor)) {
-      commits.push_back(c);
+    for (const version::Commit* c :
+         repo.graph().CommitsSince(head->id, ancestor)) {
+      space.history.push_back(c);
     }
   }
 
-  for (const version::Commit* commit : commits) {
+  for (const version::Commit* commit : space.history) {
     for (const version::ComponentRecord& rec : commit->snapshot.components) {
       auto it = std::find_if(space.components.begin(), space.components.end(),
                              [&](const ComponentSearchSpace& c) {

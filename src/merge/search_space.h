@@ -28,6 +28,10 @@ struct ComponentSearchSpace {
 struct SearchSpace {
   Hash256 common_ancestor;
   std::vector<ComponentSearchSpace> components;
+  /// The commits the space was drawn from: the common ancestor, then every
+  /// commit since it on HEAD, then on MERGE_HEAD. Their materialized
+  /// outputs are the merge's checkpoints.
+  std::vector<const version::Commit*> history;
 
   /// Upper bound on pre-merge pipeline candidates: prod |S(f_i)|.
   size_t NumCandidates() const;

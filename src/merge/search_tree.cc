@@ -71,6 +71,14 @@ void Enumerate(const TreeNode& node, CandidateChain* chain,
 
 }  // namespace
 
+StatusOr<pipeline::Pipeline> ChainPipeline(const std::string& name,
+                                           const CandidateChain& chain) {
+  std::vector<pipeline::ComponentVersionSpec> specs;
+  specs.reserve(chain.size());
+  for (const pipeline::ComponentVersionSpec* s : chain) specs.push_back(*s);
+  return pipeline::Pipeline::Chain(name, std::move(specs));
+}
+
 PipelineSearchTree PipelineSearchTree::Build(const SearchSpace& space) {
   PipelineSearchTree tree;
   tree.root_ = std::make_unique<TreeNode>();

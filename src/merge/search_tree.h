@@ -10,6 +10,7 @@
 #include "merge/compat_lut.h"
 #include "merge/search_space.h"
 #include "pipeline/component.h"
+#include "pipeline/pipeline.h"
 
 namespace mlcask::merge {
 
@@ -30,6 +31,10 @@ struct TreeNode {
 
 /// A root-to-leaf path — one pre-merge pipeline candidate.
 using CandidateChain = std::vector<const pipeline::ComponentVersionSpec*>;
+
+/// The runnable chain pipeline `name` made of `chain`'s component versions.
+StatusOr<pipeline::Pipeline> ChainPipeline(const std::string& name,
+                                           const CandidateChain& chain);
 
 /// The pipeline search tree built over a merge search space (Algorithm 1),
 /// plus the pruning and traversal operations of Sec. VI.

@@ -1,6 +1,6 @@
 #include "pipeline/checkout.h"
 
-#include <cmath>
+#include <unordered_map>
 
 namespace mlcask::pipeline {
 
@@ -17,38 +17,68 @@ StatusOr<Pipeline> MaterializePipeline(const version::Commit& commit,
   return Pipeline::Chain(pipeline_name, std::move(specs));
 }
 
+StatusOr<std::vector<Checkpoint>> ReadCheckpoints(
+    const std::vector<const version::Commit*>& commits,
+    const LibraryRepo& libraries, storage::StorageEngine* engine) {
+  // Every output id read so far; null when the store does not hold it.
+  std::unordered_map<Hash256, std::shared_ptr<const data::Table>,
+                     Hash256Hasher>
+      outputs;
+  std::vector<Checkpoint> checkpoints;
+  for (const version::Commit* commit : commits) {
+    const version::PipelineSnapshot& snapshot = commit->snapshot;
+    std::vector<ComponentVersionSpec> chain;
+    for (size_t i = 0; i < snapshot.components.size(); ++i) {
+      const version::ComponentRecord& rec = snapshot.components[i];
+      MLCASK_ASSIGN_OR_RETURN(const ComponentVersionSpec* spec,
+                              libraries.Get(rec.name, rec.version));
+      chain.push_back(*spec);
+      if (!rec.has_output()) continue;
+      auto [it, first_read] = outputs.try_emplace(rec.output_id);
+      if (first_read) {
+        StatusOr<std::string> bytes = engine->GetVersion(rec.output_id);
+        if (bytes.ok()) {
+          MLCASK_ASSIGN_OR_RETURN(data::Table table,
+                                  data::Table::Deserialize(*bytes));
+          it->second = std::make_shared<const data::Table>(std::move(table));
+        } else if (!bytes.status().IsNotFound()) {
+          return bytes.status();
+        }
+      }
+      if (it->second == nullptr) continue;
+      const bool full = i + 1 == snapshot.components.size();
+      checkpoints.push_back(
+          {chain, it->second, full ? snapshot.score : std::nan(""),
+           full ? snapshot.metric : "",
+           full ? snapshot.metrics : std::map<std::string, double>{},
+           rec.output_id});
+    }
+  }
+  return checkpoints;
+}
+
+Status SeedExecutor(const std::vector<Checkpoint>& checkpoints,
+                    Executor* executor, std::set<Hash256>* seeded_keys) {
+  for (const Checkpoint& checkpoint : checkpoints) {
+    MLCASK_RETURN_IF_ERROR(executor->SeedCache(
+        checkpoint.chain, *checkpoint.output, checkpoint.score,
+        checkpoint.metric, checkpoint.output_id, checkpoint.metrics));
+    if (seeded_keys == nullptr) continue;
+    std::vector<const ComponentVersionSpec*> ptrs;
+    for (const ComponentVersionSpec& s : checkpoint.chain) ptrs.push_back(&s);
+    seeded_keys->insert(Executor::ChainKey(ptrs));
+  }
+  return Status::Ok();
+}
+
 Status SeedExecutorFromCommit(const version::Commit& commit,
                               const LibraryRepo& libraries,
                               storage::StorageEngine* engine,
                               Executor* executor,
                               std::set<Hash256>* seeded_keys) {
-  std::vector<ComponentVersionSpec> chain;
-  const auto& records = commit.snapshot.components;
-  for (size_t i = 0; i < records.size(); ++i) {
-    MLCASK_ASSIGN_OR_RETURN(const ComponentVersionSpec* spec,
-                            libraries.Get(records[i].name, records[i].version));
-    chain.push_back(*spec);
-    if (!records[i].has_output() || !engine->HasVersion(records[i].output_id)) {
-      continue;
-    }
-    MLCASK_ASSIGN_OR_RETURN(std::string bytes,
-                            engine->GetVersion(records[i].output_id));
-    MLCASK_ASSIGN_OR_RETURN(data::Table table, data::Table::Deserialize(bytes));
-    // Only the full pipeline carries the committed score/metrics.
-    bool is_full = i + 1 == records.size();
-    MLCASK_RETURN_IF_ERROR(executor->SeedCache(
-        chain, std::move(table),
-        is_full ? commit.snapshot.score : std::nan(""),
-        is_full ? commit.snapshot.metric : "", records[i].output_id,
-        is_full ? commit.snapshot.metrics : std::map<std::string, double>{}));
-    if (seeded_keys != nullptr) {
-      std::vector<const ComponentVersionSpec*> ptrs;
-      ptrs.reserve(chain.size());
-      for (const auto& s : chain) ptrs.push_back(&s);
-      seeded_keys->insert(Executor::ChainKey(ptrs));
-    }
-  }
-  return Status::Ok();
+  MLCASK_ASSIGN_OR_RETURN(std::vector<Checkpoint> checkpoints,
+                          ReadCheckpoints({&commit}, libraries, engine));
+  return SeedExecutor(checkpoints, executor, seeded_keys);
 }
 
 }  // namespace mlcask::pipeline

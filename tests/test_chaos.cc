@@ -539,17 +539,22 @@ TEST(ChaosTest, DeferredGetUnderDeadPeerResolvesWithinCallTimeout) {
   std::atomic<bool> stop{false};
   std::thread mute([&] {
     std::vector<int> fds;
+    std::vector<std::thread> readers;
     while (!stop.load()) {
       int fd = ::accept(listener, nullptr, nullptr);
       if (fd < 0) break;
       fds.push_back(fd);
       // Drain in the background so the client's writes never block either.
-      std::thread([fd] {
+      readers.emplace_back([fd] {
         char buf[4096];
         while (::read(fd, buf, sizeof(buf)) > 0) {
         }
-      }).detach();
+      });
     }
+    // shutdown() wakes every blocked read() with EOF; the fds are closed
+    // only once no reader can still be using them.
+    for (int fd : fds) ::shutdown(fd, SHUT_RDWR);
+    for (std::thread& reader : readers) reader.join();
     for (int fd : fds) ::close(fd);
   });
 

@@ -76,8 +76,8 @@ class DeadlineScope {
 };
 
 /// Cheap deadline peek at a serialized storage request: the binary codec's
-/// deadline meta tag, or the JSON fallback's "deadline_ms" field. Returns 0
-/// when absent (no deadline). Transports record this stamp into their stats
+/// deadline meta tag. Returns 0 when absent (no deadline, or not a binary
+/// message). Transports record this stamp into their stats
 /// (TransportStats::hop_budgets_ms) — the observable ledger the
 /// deadline-shrink tests assert on — and servers use it to drop
 /// queue-expired jobs before they execute.

@@ -32,22 +32,6 @@ uint32_t GetU32(const char* p) {
   return v;
 }
 
-/// Which frame types exist at a given wire version. Chunk frames are only
-/// sent on version >= 2 sessions, so on a v1 stream they are corruption, not
-/// a message.
-bool ValidType(uint8_t type, uint8_t version) {
-  if (type == static_cast<uint8_t>(FrameType::kData) ||
-      type == static_cast<uint8_t>(FrameType::kError)) {
-    return true;
-  }
-  if (version >= kWireVersionBinary &&
-      (type == static_cast<uint8_t>(FrameType::kChunk) ||
-       type == static_cast<uint8_t>(FrameType::kChunkEnd))) {
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 void AppendFrameHeader(std::string* out, FrameType type, uint64_t id,
@@ -124,30 +108,27 @@ StatusOr<bool> FrameDecoder::Next(Frame* out) {
         std::to_string(max_payload_) + ")");
     return fatal_;
   }
-  if (version < kWireVersionJson || version > max_version_) {
+  if (version != kWireVersion) {
     // Header layout is frozen, so the id is trustworthy even across
     // versions — the caller can answer the right request. Consume the frame
     // so one mismatched message doesn't wedge the whole stream, then report.
     if (buffer_.size() - pos_ < kHeaderSize + length) return false;
     out->type = FrameType::kError;
     out->id = id;
-    out->version = version;
     out->payload.clear();
     pos_ += kHeaderSize + length;
     Compact();
     return Status::Unimplemented(
         "peer speaks wire-format version " + std::to_string(version) +
-        ", this build speaks " + std::to_string(max_version_));
+        ", this build speaks " + std::to_string(kWireVersion));
   }
-  if (!ValidType(type, version)) {
-    fatal_ = Status::Corruption("unknown frame type " + std::to_string(type) +
-                                " at wire version " + std::to_string(version));
+  if (type > static_cast<uint8_t>(FrameType::kChunkEnd)) {
+    fatal_ = Status::Corruption("unknown frame type " + std::to_string(type));
     return fatal_;
   }
   if (buffer_.size() - pos_ < kHeaderSize + length) return false;
   out->type = static_cast<FrameType>(type);
   out->id = id;
-  out->version = version;
   out->payload.assign(buffer_, pos_ + kHeaderSize, length);
   pos_ += kHeaderSize + length;
   Compact();

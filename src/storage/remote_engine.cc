@@ -1,246 +1,14 @@
 #include "storage/remote_engine.h"
 
+#include <optional>
 #include <random>
 #include <utility>
 
-#include <optional>
-
-#include "common/json.h"
 #include "common/strings.h"
 #include "storage/deadline.h"
-#include "storage/frame.h"
 #include "storage/wire_codec.h"
 
 namespace mlcask::storage {
-
-namespace wire {
-
-namespace {
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-int HexNibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-}  // namespace
-
-std::string HexEncode(std::string_view bytes) {
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (unsigned char c : bytes) {
-    out.push_back(kHexDigits[c >> 4]);
-    out.push_back(kHexDigits[c & 0xf]);
-  }
-  return out;
-}
-
-StatusOr<std::string> HexDecode(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    return Status::InvalidArgument("hex payload has odd length");
-  }
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    int hi = HexNibble(hex[i]);
-    int lo = HexNibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("malformed hex payload");
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
-}
-
-}  // namespace wire
-
-namespace {
-
-using wire::HexDecode;
-using wire::HexEncode;
-
-Json ErrorResponse(const Status& status) {
-  Json response = Json::Object();
-  response.Set("ok", Json::Bool(false));
-  response.Set("code", Json::Int(static_cast<int64_t>(status.code())));
-  response.Set("message", Json::Str(status.message()));
-  return response;
-}
-
-Json OkResponse() {
-  Json response = Json::Object();
-  response.Set("ok", Json::Bool(true));
-  return response;
-}
-
-/// Reconstructs the Status a response encodes ({"ok":false,...} documents).
-Status DecodeError(const Json& response) {
-  auto code = static_cast<StatusCode>(response.GetInt("code"));
-  return Status(code, response.GetString("message"));
-}
-
-Json EncodePutResult(const PutResult& result) {
-  Json out = Json::Object();
-  out.Set("id", Json::Str(result.id.ToHex()));
-  out.Set("logical_bytes", Json::Int(static_cast<int64_t>(
-                               result.logical_bytes)));
-  out.Set("new_physical_bytes",
-          Json::Int(static_cast<int64_t>(result.new_physical_bytes)));
-  out.Set("storage_time_s", Json::Number(result.storage_time_s));
-  out.Set("deduplicated", Json::Bool(result.deduplicated));
-  return out;
-}
-
-StatusOr<PutResult> DecodePutResult(const Json& doc) {
-  PutResult result;
-  if (!Hash256::FromHex(doc.GetString("id"), &result.id)) {
-    return Status::Corruption("put response carries a malformed id");
-  }
-  result.logical_bytes = static_cast<uint64_t>(doc.GetInt("logical_bytes"));
-  result.new_physical_bytes =
-      static_cast<uint64_t>(doc.GetInt("new_physical_bytes"));
-  result.storage_time_s = doc.GetDouble("storage_time_s");
-  result.deduplicated = doc.GetBool("deduplicated");
-  return result;
-}
-
-StatusOr<Hash256> DecodeId(const Json& request) {
-  Hash256 id;
-  if (!Hash256::FromHex(request.GetString("id"), &id)) {
-    return Status::InvalidArgument("request carries a malformed content id");
-  }
-  return id;
-}
-
-/// The server-side dispatch. Every arm mirrors one StorageEngine method.
-Json Dispatch(StorageEngine* engine, const Json& request) {
-  const std::string method = request.GetString("method");
-
-  if (method == "put") {
-    auto data = HexDecode(request.GetString("data"));
-    if (!data.ok()) return ErrorResponse(data.status());
-    auto result = engine->Put(request.GetString("key"), *data);
-    if (!result.ok()) return ErrorResponse(result.status());
-    Json response = OkResponse();
-    response.Set("result", EncodePutResult(*result));
-    return response;
-  }
-
-  if (method == "put_many") {
-    const Json* batch_json = request.Get("batch");
-    if (batch_json == nullptr || !batch_json->is_array()) {
-      return ErrorResponse(
-          Status::InvalidArgument("put_many request lacks a batch array"));
-    }
-    std::vector<PutRequest> batch;
-    batch.reserve(batch_json->size());
-    for (size_t i = 0; i < batch_json->size(); ++i) {
-      auto data = HexDecode(batch_json->at(i).GetString("data"));
-      if (!data.ok()) return ErrorResponse(data.status());
-      batch.push_back({batch_json->at(i).GetString("key"), *std::move(data)});
-    }
-    auto results = engine->PutMany(batch);
-    if (!results.ok()) return ErrorResponse(results.status());
-    Json encoded = Json::Array();
-    for (const PutResult& result : *results) {
-      encoded.Append(EncodePutResult(result));
-    }
-    Json response = OkResponse();
-    response.Set("results", std::move(encoded));
-    return response;
-  }
-
-  if (method == "get") {
-    auto data = engine->Get(request.GetString("key"));
-    if (!data.ok()) return ErrorResponse(data.status());
-    Json response = OkResponse();
-    response.Set("data", Json::Str(HexEncode(*data)));
-    return response;
-  }
-
-  if (method == "get_version") {
-    auto id = DecodeId(request);
-    if (!id.ok()) return ErrorResponse(id.status());
-    auto data = engine->GetVersion(*id);
-    if (!data.ok()) return ErrorResponse(data.status());
-    Json response = OkResponse();
-    response.Set("data", Json::Str(HexEncode(*data)));
-    return response;
-  }
-
-  if (method == "has_version") {
-    auto id = DecodeId(request);
-    if (!id.ok()) return ErrorResponse(id.status());
-    Json response = OkResponse();
-    response.Set("has", Json::Bool(engine->HasVersion(*id)));
-    return response;
-  }
-
-  if (method == "versions") {
-    Json ids = Json::Array();
-    for (const Hash256& id : engine->Versions(request.GetString("key"))) {
-      ids.Append(Json::Str(id.ToHex()));
-    }
-    Json response = OkResponse();
-    response.Set("ids", std::move(ids));
-    return response;
-  }
-
-  if (method == "list_all_versions") {
-    Json entries = Json::Array();
-    for (const auto& [key, id] : engine->ListAllVersions()) {
-      Json entry = Json::Object();
-      entry.Set("key", Json::Str(key));
-      entry.Set("id", Json::Str(id.ToHex()));
-      entries.Append(std::move(entry));
-    }
-    Json response = OkResponse();
-    response.Set("entries", std::move(entries));
-    return response;
-  }
-
-  if (method == "delete_version") {
-    auto id = DecodeId(request);
-    if (!id.ok()) return ErrorResponse(id.status());
-    auto freed = engine->DeleteVersion(*id);
-    if (!freed.ok()) return ErrorResponse(freed.status());
-    Json response = OkResponse();
-    response.Set("freed_bytes", Json::Int(static_cast<int64_t>(*freed)));
-    return response;
-  }
-
-  if (method == "stats") {
-    EngineStats stats = engine->stats();
-    Json response = OkResponse();
-    response.Set("logical_bytes",
-                 Json::Int(static_cast<int64_t>(stats.logical_bytes)));
-    response.Set("physical_bytes",
-                 Json::Int(static_cast<int64_t>(stats.physical_bytes)));
-    response.Set("storage_time_s", Json::Number(stats.storage_time_s));
-    response.Set("puts", Json::Int(static_cast<int64_t>(stats.puts)));
-    response.Set("gets", Json::Int(static_cast<int64_t>(stats.gets)));
-    return response;
-  }
-
-  if (method == "name") {
-    Json response = OkResponse();
-    response.Set("name", Json::Str(engine->Name()));
-    return response;
-  }
-
-  if (method == "read_cost") {
-    Json response = OkResponse();
-    response.Set("cost_s", Json::Number(engine->ReadCost(static_cast<uint64_t>(
-                               request.GetInt("bytes")))));
-    return response;
-  }
-
-  return ErrorResponse(
-      Status::Unimplemented("unknown storage method '" + method + "'"));
-}
-
-}  // namespace
 
 bool StorageEngineService::LookupReplayOrClaim(const std::string& token,
                                                std::string* response) {
@@ -299,75 +67,37 @@ void StorageEngineService::ReleaseClaim(const std::string& token) {
 }
 
 std::string StorageEngineService::Handle(std::string_view request) {
-  // One-byte codec sniff: the binary magic is never '{', so a service can
-  // serve new-codec and JSON-era callers on the same endpoint — no frames
-  // needed for loopback deployments to get the fast path.
-  if (wire::IsBinaryMessage(request)) {
-    const std::string token(wire::ExtractReplayToken(request));
-    std::string replayed;
-    if (!token.empty() && LookupReplayOrClaim(token, &replayed)) {
-      return replayed;
-    }
-    std::string response;
-    {
-      // Re-anchor the caller's stamped remaining budget as this side's
-      // ambient deadline: any fan-out the engine performs while serving
-      // this request (a sharded router behind the service) stamps ITS
-      // downstream calls from what is left — end-to-end propagation.
-      const uint64_t deadline_ms = wire::ExtractDeadline(request);
-      std::optional<DeadlineBudget> budget;
-      std::optional<DeadlineScope> scope;
-      if (deadline_ms > 0) {
-        budget.emplace(deadline_ms);
-        scope.emplace(&*budget);
-      }
-      response = wire::DispatchBinary(engine_, request);
-    }
-    if (!token.empty()) {
-      // A load-shed answer must not occupy the token's slot: release the
-      // claim so the client's retry re-executes (and any duplicate blocked
-      // on the claim re-claims) instead of replaying "overloaded" forever.
-      const bool shed =
-          response.size() >= 2 &&
-          static_cast<uint8_t>(response[1]) ==
-              static_cast<uint8_t>(StatusCode::kResourceExhausted);
-      if (shed) {
-        ReleaseClaim(token);
-      } else {
-        RecordReplay(token, response);
-      }
-    }
-    return response;
-  }
-  auto parsed = Json::Parse(request);
-  if (!parsed.ok()) {
-    return ErrorResponse(
-               Status::InvalidArgument("unparseable storage request: " +
-                                       parsed.status().message()))
-        .Dump();
-  }
-  const std::string token = parsed->GetString("replay_token");
+  // A non-binary request (empty, a JSON document, garbage) carries neither
+  // a replay token nor a deadline, so it claims no ledger slot and reaches
+  // DispatchBinary, which answers it with a typed error response.
+  const std::string token(wire::ExtractReplayToken(request));
   std::string replayed;
-  if (!token.empty() && LookupReplayOrClaim(token, &replayed)) return replayed;
-  Json response_json = Json::Object();
+  if (!token.empty() && LookupReplayOrClaim(token, &replayed)) {
+    return replayed;
+  }
+  std::string response;
   {
-    const int64_t stamped = parsed->GetInt("deadline_ms");
-    const uint64_t deadline_ms =
-        stamped > 0 ? static_cast<uint64_t>(stamped) : 0;
+    // Re-anchor the caller's stamped remaining budget as this side's
+    // ambient deadline: any fan-out the engine performs while serving
+    // this request (a sharded router behind the service) stamps ITS
+    // downstream calls from what is left — end-to-end propagation.
+    const uint64_t deadline_ms = wire::ExtractDeadline(request);
     std::optional<DeadlineBudget> budget;
     std::optional<DeadlineScope> scope;
     if (deadline_ms > 0) {
       budget.emplace(deadline_ms);
       scope.emplace(&*budget);
     }
-    response_json = Dispatch(engine_, *parsed);
+    response = wire::DispatchBinary(engine_, request);
   }
-  std::string response = response_json.Dump();
   if (!token.empty()) {
+    // A load-shed answer must not occupy the token's slot: release the
+    // claim so the client's retry re-executes (and any duplicate blocked
+    // on the claim re-claims) instead of replaying "overloaded" forever.
     const bool shed =
-        !response_json.GetBool("ok") &&
-        static_cast<StatusCode>(response_json.GetInt("code")) ==
-            StatusCode::kResourceExhausted;
+        response.size() >= 2 &&
+        static_cast<uint8_t>(response[1]) ==
+            static_cast<uint8_t>(StatusCode::kResourceExhausted);
     if (shed) {
       ReleaseClaim(token);
     } else {
@@ -379,57 +109,20 @@ std::string StorageEngineService::Handle(std::string_view request) {
 
 // --------------------------------------------------------------- client ---
 
-RemoteStorageEngine::RemoteStorageEngine(std::unique_ptr<Transport> transport,
-                                         WireCodec codec)
-    : transport_(std::move(transport)), binary_(codec != WireCodec::kJson) {
+RemoteStorageEngine::RemoteStorageEngine(std::unique_ptr<Transport> transport)
+    : transport_(std::move(transport)) {
   name_ = "remote";
   // Random per-proxy session id: replay tokens from two proxies (e.g. a
   // restarted router) can never collide in a server's dedup ledger.
   std::random_device rd;
   replay_session_ = StrFormat("%08x%08x", rd(), rd());
-  if (binary_) {
-    // The name hello doubles as the codec probe: a binary-era peer answers
-    // it, a JSON-era one rejects the unknown wire version / magic with
-    // Unimplemented. kAuto treats that one status as "old peer" and drops
-    // the SESSION to JSON — including the transport's frame version, so
-    // framing and codec downgrade together. Any other failure (peer down,
-    // timeout) is not evidence about the codec: stay binary.
-    auto response =
-        RoundTrip(wire::EncodePlainRequest(wire::Method::kName));
-    if (response.ok()) {
-      auto peer = wire::DecodeDataResponse(*response);
-      if (peer.ok()) {
-        name_ = "remote(" + std::string(*peer) + ")";
-        return;
-      }
-      // A JSON document in reply to a binary hello is an old service
-      // reached over a frameless transport (loopback): same skew, answered
-      // at the codec layer instead of the frame layer.
-      const bool old_peer =
-          peer.status().code() == StatusCode::kUnimplemented ||
-          (!response->empty() && (*response)[0] == '{');
-      if (codec != WireCodec::kAuto || !old_peer) return;
-    } else if (codec != WireCodec::kAuto ||
-               response.status().code() != StatusCode::kUnimplemented) {
-      return;
-    }
-    binary_ = false;
-    transport_->set_wire_version(kWireVersionJson);
-  }
-  Json request = Json::Object();
-  request.Set("method", Json::Str("name"));
-  auto response = RoundTrip(request.Dump());
-  if (response.ok()) {
-    auto doc = Json::Parse(*response);
-    if (doc.ok() && doc->GetBool("ok")) {
-      name_ = "remote(" + doc->GetString("name") + ")";
-    }
-  }
-}
-
-StatusOr<std::string> RemoteStorageEngine::RoundTrip(
-    std::string_view request) const {
-  return transport_->Call(request);
+  // A peer that cannot answer the hello (down, timed out) keeps the
+  // generic name; the failure surfaces on the first real call instead.
+  auto response =
+      transport_->Call(wire::EncodePlainRequest(wire::Method::kName));
+  if (!response.ok()) return;
+  auto peer = wire::DecodeDataResponse(*response);
+  if (peer.ok()) name_ = "remote(" + std::string(*peer) + ")";
 }
 
 std::string RemoteStorageEngine::NextReplayToken() {
@@ -439,149 +132,32 @@ std::string RemoteStorageEngine::NextReplayToken() {
 
 namespace {
 
-/// Raw serialized response -> parsed JSON document (or the remote Status).
-/// Shared by the blocking call path and every Deferred decoder.
-StatusOr<Json> DecodeResponse(StatusOr<std::string> response) {
-  if (!response.ok()) return response.status();
-  auto doc = Json::Parse(*response);
-  if (!doc.ok()) {
-    return Status::Corruption("unparseable storage response: " +
-                              doc.status().message());
-  }
-  if (!doc->GetBool("ok")) return DecodeError(*doc);
-  return *std::move(doc);
-}
+// Raw transport result -> typed value. Shared by the blocking methods and
+// their Deferred twins, so both surfaces decode identically.
 
-/// One blocking call: serialize, send, parse, surface the remote Status.
-StatusOr<Json> CallMethod(const Transport* transport, Json request) {
-  // Transports are shared mutable endpoints; Call is non-const by design
-  // (it counts traffic), while the engine methods using it may be const.
-  return DecodeResponse(
-      const_cast<Transport*>(transport)->Call(request.Dump()));
-}
-
-StatusOr<PutResult> DecodePutResponse(StatusOr<std::string> raw) {
-  MLCASK_ASSIGN_OR_RETURN(Json response, DecodeResponse(std::move(raw)));
-  const Json* result = response.Get("result");
-  if (result == nullptr) {
-    return Status::Corruption("put response lacks a result");
-  }
-  return DecodePutResult(*result);
-}
-
-StatusOr<std::vector<PutResult>> DecodePutManyResponse(
-    StatusOr<std::string> raw, size_t expected) {
-  MLCASK_ASSIGN_OR_RETURN(Json response, DecodeResponse(std::move(raw)));
-  const Json* results = response.Get("results");
-  if (results == nullptr || !results->is_array() ||
-      results->size() != expected) {
-    return Status::Corruption("put_many response result count mismatch");
-  }
-  std::vector<PutResult> decoded;
-  decoded.reserve(results->size());
-  for (size_t i = 0; i < results->size(); ++i) {
-    MLCASK_ASSIGN_OR_RETURN(PutResult result, DecodePutResult(results->at(i)));
-    decoded.push_back(result);
-  }
-  return decoded;
-}
-
-StatusOr<std::string> DecodeDataResponse(StatusOr<std::string> raw) {
-  MLCASK_ASSIGN_OR_RETURN(Json response, DecodeResponse(std::move(raw)));
-  return HexDecode(response.GetString("data"));
-}
-
-StatusOr<bool> DecodeHasResponse(StatusOr<std::string> raw) {
-  MLCASK_ASSIGN_OR_RETURN(Json response, DecodeResponse(std::move(raw)));
-  return response.GetBool("has");
-}
-
-StatusOr<uint64_t> DecodeFreedResponse(StatusOr<std::string> raw) {
-  MLCASK_ASSIGN_OR_RETURN(Json response, DecodeResponse(std::move(raw)));
-  return static_cast<uint64_t>(response.GetInt("freed_bytes"));
-}
-
-/// JSON-codec twin of the binary encoders' ambient stamp: the caller's
-/// remaining budget rides as "deadline_ms". Old servers ignore the unknown
-/// member, same compatibility story as the skipped binary tag.
-void StampJsonDeadline(Json* request) {
-  const uint64_t remaining = DeadlineScope::CurrentRemainingMs();
-  if (remaining > 0) {
-    request->Set("deadline_ms", Json::Int(static_cast<int64_t>(remaining)));
-  }
-}
-
-Json PutRequestJson(const std::string& key, std::string_view data,
-                    const std::string& replay_token = std::string()) {
-  Json request = Json::Object();
-  request.Set("method", Json::Str("put"));
-  request.Set("key", Json::Str(key));
-  request.Set("data", Json::Str(HexEncode(data)));
-  if (!replay_token.empty()) {
-    request.Set("replay_token", Json::Str(replay_token));
-  }
-  StampJsonDeadline(&request);
-  return request;
-}
-
-Json PutManyRequestJson(const std::vector<PutRequest>& batch,
-                        const std::string& replay_token = std::string()) {
-  Json encoded = Json::Array();
-  for (const PutRequest& put : batch) {
-    Json entry = Json::Object();
-    entry.Set("key", Json::Str(put.key));
-    entry.Set("data", Json::Str(HexEncode(put.data)));
-    encoded.Append(std::move(entry));
-  }
-  Json request = Json::Object();
-  request.Set("method", Json::Str("put_many"));
-  request.Set("batch", std::move(encoded));
-  if (!replay_token.empty()) {
-    request.Set("replay_token", Json::Str(replay_token));
-  }
-  StampJsonDeadline(&request);
-  return request;
-}
-
-Json IdRequestJson(const char* method, const Hash256& id,
-                   const std::string& replay_token = std::string()) {
-  Json request = Json::Object();
-  request.Set("method", Json::Str(method));
-  request.Set("id", Json::Str(id.ToHex()));
-  if (!replay_token.empty()) {
-    request.Set("replay_token", Json::Str(replay_token));
-  }
-  StampJsonDeadline(&request);
-  return request;
-}
-
-// Binary-codec adapters: raw transport result -> typed value. Same shapes
-// as the JSON decoders above so the blocking methods and Deferred wrappers
-// stay symmetrical across codecs.
-
-StatusOr<PutResult> DecodeBinaryPut(StatusOr<std::string> raw) {
+StatusOr<PutResult> DecodePut(StatusOr<std::string> raw) {
   if (!raw.ok()) return raw.status();
   return wire::DecodePutResponse(*raw);
 }
 
-StatusOr<std::string> DecodeBinaryData(StatusOr<std::string> raw) {
+StatusOr<std::string> DecodeData(StatusOr<std::string> raw) {
   if (!raw.ok()) return raw.status();
   MLCASK_ASSIGN_OR_RETURN(std::string_view data,
                           wire::DecodeDataResponse(*raw));
   return std::string(data);
 }
 
-StatusOr<bool> DecodeBinaryHas(StatusOr<std::string> raw) {
+StatusOr<bool> DecodeHas(StatusOr<std::string> raw) {
   if (!raw.ok()) return raw.status();
   return wire::DecodeHasResponse(*raw);
 }
 
-StatusOr<uint64_t> DecodeBinaryFreed(StatusOr<std::string> raw) {
+StatusOr<uint64_t> DecodeFreed(StatusOr<std::string> raw) {
   if (!raw.ok()) return raw.status();
   return wire::DecodeFreedResponse(*raw);
 }
 
-StatusOr<MigrateBatchResult> DecodeBinaryMigrate(StatusOr<std::string> raw) {
+StatusOr<MigrateBatchResult> DecodeMigrate(StatusOr<std::string> raw) {
   if (!raw.ok()) return raw.status();
   return wire::DecodeMigrateResponse(*raw);
 }
@@ -590,254 +166,127 @@ StatusOr<MigrateBatchResult> DecodeBinaryMigrate(StatusOr<std::string> raw) {
 
 StatusOr<PutResult> RemoteStorageEngine::Put(const std::string& key,
                                              std::string_view data) {
-  const std::string token = NextReplayToken();
-  if (binary_) {
-    return DecodeBinaryPut(
-        transport_->Call(wire::EncodePutRequest(key, data, token)));
-  }
-  return DecodePutResponse(
-      transport_->Call(PutRequestJson(key, data, token).Dump()));
+  return DecodePut(
+      transport_->Call(wire::EncodePutRequest(key, data, NextReplayToken())));
 }
 
 Deferred<PutResult> RemoteStorageEngine::AsyncPut(const std::string& key,
                                                   std::string_view data) {
-  const std::string token = NextReplayToken();
-  if (binary_) {
-    return Deferred<PutResult>(
-        transport_->AsyncCall(wire::EncodePutRequest(key, data, token)),
-        DecodeBinaryPut, transport_->call_timeout_ms());
-  }
   return Deferred<PutResult>(
-      transport_->AsyncCall(PutRequestJson(key, data, token).Dump()),
-      DecodePutResponse, transport_->call_timeout_ms());
+      transport_->AsyncCall(
+          wire::EncodePutRequest(key, data, NextReplayToken())),
+      DecodePut, transport_->call_timeout_ms());
 }
 
 StatusOr<std::vector<PutResult>> RemoteStorageEngine::PutMany(
     const std::vector<PutRequest>& batch) {
-  const std::string token = NextReplayToken();
-  if (binary_) {
-    auto raw = transport_->Call(wire::EncodePutManyRequest(batch, token));
-    if (!raw.ok()) return raw.status();
-    return wire::DecodePutManyResponse(*raw, batch.size());
-  }
-  return DecodePutManyResponse(
-      transport_->Call(PutManyRequestJson(batch, token).Dump()), batch.size());
+  auto raw = transport_->Call(
+      wire::EncodePutManyRequest(batch, NextReplayToken()));
+  if (!raw.ok()) return raw.status();
+  return wire::DecodePutManyResponse(*raw, batch.size());
 }
 
 Deferred<std::vector<PutResult>> RemoteStorageEngine::AsyncPutMany(
     const std::vector<PutRequest>& batch) {
   const size_t expected = batch.size();
-  const std::string token = NextReplayToken();
-  if (binary_) {
-    return Deferred<std::vector<PutResult>>(
-        transport_->AsyncCall(wire::EncodePutManyRequest(batch, token)),
-        [expected](StatusOr<std::string> raw)
-            -> StatusOr<std::vector<PutResult>> {
-          if (!raw.ok()) return raw.status();
-          return wire::DecodePutManyResponse(*raw, expected);
-        },
-        transport_->call_timeout_ms());
-  }
   return Deferred<std::vector<PutResult>>(
-      transport_->AsyncCall(PutManyRequestJson(batch, token).Dump()),
-      [expected](StatusOr<std::string> raw) {
-        return DecodePutManyResponse(std::move(raw), expected);
+      transport_->AsyncCall(
+          wire::EncodePutManyRequest(batch, NextReplayToken())),
+      [expected](StatusOr<std::string> raw)
+          -> StatusOr<std::vector<PutResult>> {
+        if (!raw.ok()) return raw.status();
+        return wire::DecodePutManyResponse(*raw, expected);
       },
       transport_->call_timeout_ms());
 }
 
 StatusOr<std::string> RemoteStorageEngine::Get(const std::string& key) {
-  if (binary_) {
-    return DecodeBinaryData(
-        transport_->Call(wire::EncodeKeyRequest(wire::Method::kGet, key)));
-  }
-  Json request = Json::Object();
-  request.Set("method", Json::Str("get"));
-  request.Set("key", Json::Str(key));
-  StampJsonDeadline(&request);
-  return DecodeDataResponse(transport_->Call(request.Dump()));
+  return DecodeData(
+      transport_->Call(wire::EncodeKeyRequest(wire::Method::kGet, key)));
 }
 
 StatusOr<std::string> RemoteStorageEngine::GetVersion(const Hash256& id) {
-  if (binary_) {
-    return DecodeBinaryData(transport_->Call(
-        wire::EncodeIdRequest(wire::Method::kGetVersion, id)));
-  }
-  return DecodeDataResponse(
-      transport_->Call(IdRequestJson("get_version", id).Dump()));
+  return DecodeData(transport_->Call(
+      wire::EncodeIdRequest(wire::Method::kGetVersion, id)));
 }
 
 Deferred<std::string> RemoteStorageEngine::AsyncGetVersion(const Hash256& id) {
-  if (binary_) {
-    return Deferred<std::string>(
-        transport_->AsyncCall(
-            wire::EncodeIdRequest(wire::Method::kGetVersion, id)),
-        DecodeBinaryData, transport_->call_timeout_ms());
-  }
   return Deferred<std::string>(
-      transport_->AsyncCall(IdRequestJson("get_version", id).Dump()),
-      DecodeDataResponse, transport_->call_timeout_ms());
+      transport_->AsyncCall(
+          wire::EncodeIdRequest(wire::Method::kGetVersion, id)),
+      DecodeData, transport_->call_timeout_ms());
 }
 
 bool RemoteStorageEngine::HasVersion(const Hash256& id) const {
-  auto* transport = const_cast<Transport*>(transport_.get());
-  auto response =
-      binary_
-          ? DecodeBinaryHas(transport->Call(
-                wire::EncodeIdRequest(wire::Method::kHasVersion, id)))
-          : DecodeHasResponse(
-                transport->Call(IdRequestJson("has_version", id).Dump()));
+  auto response = DecodeHas(transport_->Call(
+      wire::EncodeIdRequest(wire::Method::kHasVersion, id)));
   return response.ok() && *response;
 }
 
 Deferred<bool> RemoteStorageEngine::AsyncHasVersion(const Hash256& id) const {
-  auto* transport = const_cast<Transport*>(transport_.get());
-  if (binary_) {
-    return Deferred<bool>(
-        transport->AsyncCall(
-            wire::EncodeIdRequest(wire::Method::kHasVersion, id)),
-        DecodeBinaryHas, transport_->call_timeout_ms());
-  }
   return Deferred<bool>(
-      transport->AsyncCall(IdRequestJson("has_version", id).Dump()),
-      DecodeHasResponse, transport_->call_timeout_ms());
+      transport_->AsyncCall(
+          wire::EncodeIdRequest(wire::Method::kHasVersion, id)),
+      DecodeHas, transport_->call_timeout_ms());
 }
 
 std::vector<Hash256> RemoteStorageEngine::Versions(
     const std::string& key) const {
-  std::vector<Hash256> ids;
-  if (binary_) {
-    auto raw = const_cast<Transport*>(transport_.get())
-                   ->Call(wire::EncodeKeyRequest(wire::Method::kVersions, key));
-    if (!raw.ok()) return ids;
-    auto decoded = wire::DecodeVersionsResponse(*raw);
-    return decoded.ok() ? *std::move(decoded) : ids;
-  }
-  Json request = Json::Object();
-  request.Set("method", Json::Str("versions"));
-  request.Set("key", Json::Str(key));
-  StampJsonDeadline(&request);
-  auto response = CallMethod(transport_.get(), std::move(request));
-  if (!response.ok()) return ids;
-  const Json* encoded = response->Get("ids");
-  if (encoded == nullptr || !encoded->is_array()) return ids;
-  ids.reserve(encoded->size());
-  for (size_t i = 0; i < encoded->size(); ++i) {
-    Hash256 id;
-    if (Hash256::FromHex(encoded->at(i).AsString(), &id)) ids.push_back(id);
-  }
-  return ids;
+  auto raw =
+      transport_->Call(wire::EncodeKeyRequest(wire::Method::kVersions, key));
+  if (!raw.ok()) return {};
+  auto decoded = wire::DecodeVersionsResponse(*raw);
+  return decoded.ok() ? *std::move(decoded) : std::vector<Hash256>();
 }
 
 std::vector<std::pair<std::string, Hash256>>
 RemoteStorageEngine::ListAllVersions() const {
-  std::vector<std::pair<std::string, Hash256>> entries;
-  if (binary_) {
-    auto raw =
-        const_cast<Transport*>(transport_.get())
-            ->Call(wire::EncodePlainRequest(wire::Method::kListAllVersions));
-    if (!raw.ok()) return entries;
-    auto decoded = wire::DecodeEntriesResponse(*raw);
-    return decoded.ok() ? *std::move(decoded) : entries;
-  }
-  Json request = Json::Object();
-  request.Set("method", Json::Str("list_all_versions"));
-  auto response = CallMethod(transport_.get(), std::move(request));
-  if (!response.ok()) return entries;
-  const Json* encoded = response->Get("entries");
-  if (encoded == nullptr || !encoded->is_array()) return entries;
-  entries.reserve(encoded->size());
-  for (size_t i = 0; i < encoded->size(); ++i) {
-    Hash256 id;
-    if (Hash256::FromHex(encoded->at(i).GetString("id"), &id)) {
-      entries.emplace_back(encoded->at(i).GetString("key"), id);
-    }
-  }
-  return entries;
+  auto raw = transport_->Call(
+      wire::EncodePlainRequest(wire::Method::kListAllVersions));
+  if (!raw.ok()) return {};
+  auto decoded = wire::DecodeEntriesResponse(*raw);
+  return decoded.ok() ? *std::move(decoded)
+                      : std::vector<std::pair<std::string, Hash256>>();
 }
 
 StatusOr<uint64_t> RemoteStorageEngine::DeleteVersion(const Hash256& id) {
-  const std::string token = NextReplayToken();
-  if (binary_) {
-    return DecodeBinaryFreed(transport_->Call(
-        wire::EncodeIdRequest(wire::Method::kDeleteVersion, id, token)));
-  }
-  return DecodeFreedResponse(
-      transport_->Call(IdRequestJson("delete_version", id, token).Dump()));
+  return DecodeFreed(transport_->Call(wire::EncodeIdRequest(
+      wire::Method::kDeleteVersion, id, NextReplayToken())));
 }
 
 Deferred<uint64_t> RemoteStorageEngine::AsyncDeleteVersion(const Hash256& id) {
-  const std::string token = NextReplayToken();
-  if (binary_) {
-    return Deferred<uint64_t>(
-        transport_->AsyncCall(
-            wire::EncodeIdRequest(wire::Method::kDeleteVersion, id, token)),
-        DecodeBinaryFreed, transport_->call_timeout_ms());
-  }
   return Deferred<uint64_t>(
-      transport_->AsyncCall(IdRequestJson("delete_version", id, token).Dump()),
-      DecodeFreedResponse, transport_->call_timeout_ms());
+      transport_->AsyncCall(wire::EncodeIdRequest(
+          wire::Method::kDeleteVersion, id, NextReplayToken())),
+      DecodeFreed, transport_->call_timeout_ms());
 }
 
 StatusOr<MigrateBatchResult> RemoteStorageEngine::MigrateBatch(
     const std::vector<MigrateKeyVersions>& batch) {
-  if (binary_) {
-    return DecodeBinaryMigrate(transport_->Call(
-        wire::EncodeMigrateBatchRequest(batch, NextReplayToken())));
-  }
-  // JSON-era peer: no migrate_batch method on the wire. The base default
-  // reaches the same end state through this proxy's per-call surface
-  // (Versions / Put round trips), so old servers can still be rebalanced.
-  return StorageEngine::MigrateBatch(batch);
+  return DecodeMigrate(transport_->Call(
+      wire::EncodeMigrateBatchRequest(batch, NextReplayToken())));
 }
 
 Deferred<MigrateBatchResult> RemoteStorageEngine::AsyncMigrateBatch(
     const std::vector<MigrateKeyVersions>& batch) {
-  if (binary_) {
-    return Deferred<MigrateBatchResult>(
-        transport_->AsyncCall(
-            wire::EncodeMigrateBatchRequest(batch, NextReplayToken())),
-        DecodeBinaryMigrate, transport_->call_timeout_ms());
-  }
-  return Deferred<MigrateBatchResult>(StorageEngine::MigrateBatch(batch));
+  return Deferred<MigrateBatchResult>(
+      transport_->AsyncCall(
+          wire::EncodeMigrateBatchRequest(batch, NextReplayToken())),
+      DecodeMigrate, transport_->call_timeout_ms());
 }
 
 EngineStats RemoteStorageEngine::stats() const {
-  EngineStats stats;
-  if (binary_) {
-    auto raw = const_cast<Transport*>(transport_.get())
-                   ->Call(wire::EncodePlainRequest(wire::Method::kStats));
-    if (!raw.ok()) return stats;
-    auto decoded = wire::DecodeStatsResponse(*raw);
-    return decoded.ok() ? *decoded : stats;
-  }
-  Json request = Json::Object();
-  request.Set("method", Json::Str("stats"));
-  auto response = CallMethod(transport_.get(), std::move(request));
-  if (!response.ok()) return stats;
-  stats.logical_bytes =
-      static_cast<uint64_t>(response->GetInt("logical_bytes"));
-  stats.physical_bytes =
-      static_cast<uint64_t>(response->GetInt("physical_bytes"));
-  stats.storage_time_s = response->GetDouble("storage_time_s");
-  stats.puts = static_cast<uint64_t>(response->GetInt("puts"));
-  stats.gets = static_cast<uint64_t>(response->GetInt("gets"));
-  return stats;
+  auto raw = transport_->Call(wire::EncodePlainRequest(wire::Method::kStats));
+  if (!raw.ok()) return EngineStats();
+  auto decoded = wire::DecodeStatsResponse(*raw);
+  return decoded.ok() ? *decoded : EngineStats();
 }
 
 double RemoteStorageEngine::ReadCost(uint64_t bytes) const {
-  if (binary_) {
-    auto raw = const_cast<Transport*>(transport_.get())
-                   ->Call(wire::EncodeReadCostRequest(bytes));
-    if (!raw.ok()) return 0.0;
-    auto decoded = wire::DecodeCostResponse(*raw);
-    return decoded.ok() ? *decoded : 0.0;
-  }
-  Json request = Json::Object();
-  request.Set("method", Json::Str("read_cost"));
-  request.Set("bytes", Json::Int(static_cast<int64_t>(bytes)));
-  auto response = CallMethod(transport_.get(), std::move(request));
-  return response.ok() ? response->GetDouble("cost_s") : 0.0;
+  auto raw = transport_->Call(wire::EncodeReadCostRequest(bytes));
+  if (!raw.ok()) return 0.0;
+  auto decoded = wire::DecodeCostResponse(*raw);
+  return decoded.ok() ? *decoded : 0.0;
 }
 
 }  // namespace mlcask::storage

@@ -113,10 +113,11 @@ class Transport {
   virtual uint64_t call_timeout_ms() const { return 0; }
 
   /// Wire-format version stamped on outgoing frames, for transports with a
-  /// framed wire (0 = not frame-based, e.g. loopback). Codec negotiation
-  /// calls set_wire_version to drop a session to the JSON-era version when
-  /// the peer answers binary requests with Unimplemented; the defaults make
-  /// both no-ops for wireless transports.
+  /// framed wire (0 = not frame-based, e.g. loopback). There is one wire
+  /// version and no negotiation, so nothing in the library calls either
+  /// method. They remain virtual only because the benchmark's traced
+  /// transport decorator overrides both; remove them together with those
+  /// overrides at the next benchmark change.
   virtual uint8_t wire_version() const { return 0; }
   virtual void set_wire_version(uint8_t /*version*/) {}
 };

@@ -97,6 +97,11 @@ TEST(DeadlineCodecTest, StampRoundTripsAndAbsenceIsBitIdenticalOldWire) {
   EXPECT_EQ(decoded->key, "k");
   EXPECT_EQ(decoded->body, "v");
   EXPECT_EQ(decoded->replay_token, "tok");
+  EXPECT_EQ(PeekRequestDeadlineMs(stamped), extracted);
+  EXPECT_EQ(PeekRequestDeadlineMs(unstamped), 0u);
+  // Anything that is not a binary message carries no deadline.
+  EXPECT_EQ(PeekRequestDeadlineMs(""), 0u);
+  EXPECT_EQ(PeekRequestDeadlineMs("not a binary message"), 0u);
 
   // A SPENT scope stamps nothing: bit-identical to the stampless wire, so
   // budget exhaustion can never produce a novel encoding either.
@@ -123,15 +128,6 @@ TEST(DeadlineCodecTest, EveryRequestEncoderStampsTheAmbientBudget) {
             0u);
   EXPECT_GT(wire::ExtractDeadline(wire::EncodeReadCostRequest(64)), 0u);
   EXPECT_GT(wire::ExtractDeadline(wire::EncodeMigrateBatchRequest({})), 0u);
-}
-
-TEST(DeadlineCodecTest, PeeksJsonFallbackDeadline) {
-  EXPECT_EQ(PeekRequestDeadlineMs("{\"method\":\"get\",\"key\":\"k\"}"), 0u);
-  EXPECT_EQ(PeekRequestDeadlineMs(
-                "{\"method\":\"get\",\"deadline_ms\": 123,\"key\":\"k\"}"),
-            123u);
-  EXPECT_EQ(PeekRequestDeadlineMs(""), 0u);
-  EXPECT_EQ(PeekRequestDeadlineMs("not json at all"), 0u);
 }
 
 // --- budget shrink across hops ---------------------------------------------

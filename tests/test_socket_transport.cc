@@ -145,24 +145,27 @@ TEST(FrameCodecTest, CorruptTypeByteIsCorruption) {
 }
 
 TEST(FrameCodecTest, VersionMismatchIsUnimplementedWithRecoverableId) {
-  std::string wire;
-  AppendFrame(&wire, FrameType::kData, 77, "future-format", /*version=*/9);
-  AppendFrame(&wire, FrameType::kData, 78, "ok");
-  FrameDecoder decoder;
-  decoder.Feed(wire);
-  Frame frame;
-  auto next = decoder.Next(&frame);
-  ASSERT_FALSE(next.ok());
-  EXPECT_EQ(next.status().code(), StatusCode::kUnimplemented);
-  // The frozen header layout keeps the correlation id readable, so a server
-  // can answer exactly the mismatched request...
-  EXPECT_EQ(frame.id, 77u);
-  // ...and the stream survives: the NEXT (current-version) frame decodes.
-  auto after = decoder.Next(&frame);
-  ASSERT_TRUE(after.ok());
-  ASSERT_TRUE(*after);
-  EXPECT_EQ(frame.id, 78u);
-  EXPECT_EQ(frame.payload, "ok");
+  // A future version and the retired JSON-era version 1 are the same case.
+  for (uint8_t version : {uint8_t{9}, uint8_t{1}}) {
+    std::string wire;
+    AppendFrame(&wire, FrameType::kData, 77, "foreign-format", version);
+    AppendFrame(&wire, FrameType::kData, 78, "ok");
+    FrameDecoder decoder;
+    decoder.Feed(wire);
+    Frame frame;
+    auto next = decoder.Next(&frame);
+    ASSERT_FALSE(next.ok()) << "version " << int{version};
+    EXPECT_EQ(next.status().code(), StatusCode::kUnimplemented);
+    // The frozen header layout keeps the correlation id readable, so a
+    // server can answer exactly the mismatched request...
+    EXPECT_EQ(frame.id, 77u);
+    // ...and the stream survives: the NEXT (current-version) frame decodes.
+    auto after = decoder.Next(&frame);
+    ASSERT_TRUE(after.ok());
+    ASSERT_TRUE(*after);
+    EXPECT_EQ(frame.id, 78u);
+    EXPECT_EQ(frame.payload, "ok");
+  }
 }
 
 TEST(FrameCodecTest, ErrorPayloadRejectsGarbage) {
@@ -607,83 +610,143 @@ TEST(SocketTransportTest, GarbledChunkManifestClosesTheConnection) {
   ASSERT_TRUE(response.ok()) << response.status();
 }
 
-// ------------------------------------------------- version-skew matrix ---
+// ------------------------------------------------ retired version-1 peer ---
 
-TEST(SocketTransportTest, AutoCodecNegotiatesDownAgainstAnOldServer) {
-  // An "old" server: max wire version 1 (JSON era). A default client's
-  // binary hello bounces with a correlated Unimplemented ERROR frame; the
-  // kAuto proxy drops the session to JSON and everything works.
-  const std::string spec = "unix:" + TempSocketPath("negotiate");
-  SocketTransportServer::Options old_options;
-  old_options.max_wire_version = kWireVersionJson;
-  auto server = SocketTransportServer::Bind(spec, old_options);
-  ASSERT_TRUE(server.ok()) << server.status();
-  StorageEngineService service(std::make_unique<ForkBaseEngine>());
-  ASSERT_TRUE((*server)
-                  ->Serve([&service](std::string_view request) {
-                    return service.Handle(request);
-                  })
-                  .ok());
-
-  auto transport = SocketTransport::Connect(spec);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  RemoteStorageEngine remote(*std::move(transport), WireCodec::kAuto);
-  EXPECT_EQ(remote.codec(), WireCodec::kJson);
-  EXPECT_EQ(remote.transport()->wire_version(), kWireVersionJson);
-  EXPECT_EQ(remote.Name(), "remote(forkbase)");
-  auto put = remote.Put("k", "negotiated-value");
-  ASSERT_TRUE(put.ok()) << put.status();
-  auto get = remote.Get("k");
-  ASSERT_TRUE(get.ok()) << get.status();
-  EXPECT_EQ(*get, "negotiated-value");
+/// Connects a raw stream socket to the unix socket at `path`; -1 on failure.
+int RawConnect(const std::string& path) {
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
-TEST(SocketTransportTest, ForcedBinaryAgainstAnOldServerFailsTyped) {
-  const std::string spec = "unix:" + TempSocketPath("forced-binary");
-  SocketTransportServer::Options old_options;
-  old_options.max_wire_version = kWireVersionJson;
-  auto server = SocketTransportServer::Bind(spec, old_options);
-  ASSERT_TRUE(server.ok()) << server.status();
-  StorageEngineService service(std::make_unique<ForkBaseEngine>());
-  ASSERT_TRUE((*server)
-                  ->Serve([&service](std::string_view request) {
-                    return service.Handle(request);
-                  })
-                  .ok());
+/// A JSON-era (wire version 1) peer on either end of a connection fails
+/// typed and correlated, and the session keeps working for current frames.
+TEST(SocketTransportTest, VersionOnePeerFailsTypedInBothDirections) {
+  // Direction 1: a v1 request to a current server gets a correlated
+  // Unimplemented ERROR frame and never reaches the engine; a current
+  // request on the same connection is then served normally.
+  {
+    const std::string path = TempSocketPath("v1-request");
+    auto server = SocketTransportServer::Bind("unix:" + path);
+    ASSERT_TRUE(server.ok()) << server.status();
+    ForkBaseEngine backend;
+    StorageEngineService service(&backend);
+    ASSERT_TRUE((*server)
+                    ->Serve([&service](std::string_view request) {
+                      return service.Handle(request);
+                    })
+                    .ok());
+    int fd = RawConnect(path);
+    ASSERT_GE(fd, 0);
+    std::string wire;
+    AppendFrame(&wire, FrameType::kData, 41,
+                "{\"method\":\"put\",\"key\":\"legacy\","
+                "\"data\":\"7061796c6f6164\"}",
+                /*version=*/1);
+    AppendFrame(&wire, FrameType::kData, 42,
+                wire::EncodePlainRequest(wire::Method::kName));
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
 
-  auto transport = SocketTransport::Connect(spec);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  RemoteStorageEngine remote(*std::move(transport), WireCodec::kBinary);
-  EXPECT_EQ(remote.codec(), WireCodec::kBinary);  // no silent downgrade
-  auto put = remote.Put("k", "v");
-  ASSERT_FALSE(put.ok());  // typed failure, never a hang or corruption
-  EXPECT_EQ(put.status().code(), StatusCode::kUnimplemented);
-}
+    FrameDecoder decoder;
+    std::vector<Frame> frames;
+    char buf[4096];
+    while (frames.size() < 2) {
+      ssize_t n = ::read(fd, buf, sizeof(buf));
+      ASSERT_GT(n, 0) << "server closed after " << frames.size() << " frames";
+      decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+      Frame frame;
+      for (;;) {
+        auto next = decoder.Next(&frame);
+        ASSERT_TRUE(next.ok()) << next.status();
+        if (!*next) break;
+        frames.push_back(frame);
+      }
+    }
+    ::close(fd);
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0].type, FrameType::kError);
+    EXPECT_EQ(frames[0].id, 41u);
+    EXPECT_EQ(DecodeErrorPayload(frames[0].payload).code(),
+              StatusCode::kUnimplemented);
+    EXPECT_EQ(frames[1].type, FrameType::kData);
+    EXPECT_EQ(frames[1].id, 42u);
+    auto name = wire::DecodeDataResponse(frames[1].payload);
+    ASSERT_TRUE(name.ok()) << name.status();
+    EXPECT_EQ(*name, "forkbase");
+    EXPECT_EQ(backend.stats().puts, 0u);
+    (*server)->Shutdown();
+  }
 
-TEST(SocketTransportTest, JsonClientAgainstACurrentServerStillWorks) {
-  // One version back stays supported: a JSON-era client (v1 frames, JSON
-  // codec) against a current server.
-  const std::string spec = "unix:" + TempSocketPath("old-client");
-  auto server = SocketTransportServer::Bind(spec);
-  ASSERT_TRUE(server.ok()) << server.status();
-  StorageEngineService service(std::make_unique<ForkBaseEngine>());
-  ASSERT_TRUE((*server)
-                  ->Serve([&service](std::string_view request) {
-                    return service.Handle(request);
-                  })
-                  .ok());
+  // Direction 2: a raw peer answers the first call with a v1 frame and the
+  // second with a current one. The first call resolves as Unimplemented
+  // (not a hang, not a deadline); the session survives for the second.
+  {
+    const std::string path = TempSocketPath("v1-reply");
+    ::unlink(path.c_str());
+    int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listen_fd, 1), 0);
+    std::thread peer([listen_fd] {
+      int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      FrameDecoder decoder;
+      char buf[4096];
+      int answered = 0;
+      while (answered < 2) {
+        ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n <= 0) break;
+        decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+        Frame frame;
+        while (answered < 2) {
+          auto next = decoder.Next(&frame);
+          if (!next.ok() || !*next) break;
+          std::string reply;
+          AppendFrame(&reply, FrameType::kData, frame.id, "reply",
+                      answered == 0 ? uint8_t{1} : kWireVersion);
+          if (::send(fd, reply.data(), reply.size(), 0) < 0) break;
+          ++answered;
+        }
+      }
+      ::close(fd);
+    });
 
-  SocketTransport::Options old_client;
-  old_client.wire_version = kWireVersionJson;
-  auto transport = SocketTransport::Connect(spec, old_client);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  RemoteStorageEngine remote(*std::move(transport), WireCodec::kJson);
-  EXPECT_EQ(remote.Name(), "remote(forkbase)");
-  auto put = remote.Put("legacy", "payload");
-  ASSERT_TRUE(put.ok()) << put.status();
-  auto get = remote.Get("legacy");
-  ASSERT_TRUE(get.ok()) << get.status();
-  EXPECT_EQ(*get, "payload");
+    SocketTransport::Options options;
+    options.call_timeout_ms = 10000;  // a hang would surface as a deadline
+    options.redial_budget_ms = 0;
+    // EXPECTs only until the peer thread is joined.
+    auto transport = SocketTransport::Connect("unix:" + path, options);
+    EXPECT_TRUE(transport.ok()) << transport.status();
+    if (transport.ok()) {
+      auto first = (*transport)->Call("first");
+      EXPECT_EQ(first.status().code(), StatusCode::kUnimplemented)
+          << first.status();
+      auto second = (*transport)->Call("second");
+      EXPECT_TRUE(second.ok()) << second.status();
+      if (second.ok()) {
+        EXPECT_EQ(*second, "reply");
+      }
+      transport->reset();  // EOF releases a peer still waiting to read
+    } else {
+      ::shutdown(listen_fd, SHUT_RDWR);  // releases the peer's accept
+    }
+    peer.join();
+    ::close(listen_fd);
+    ::unlink(path.c_str());
+  }
 }
 
 // ------------------------------------------------------ server lifecycle ---

@@ -2,8 +2,8 @@
 // freeze the layout, zero-copy guarantees (decoded payload views point INTO
 // the message buffer), request/response round trips for every RPC type,
 // chunk-stream reassembly with manifest verification, the receive-side
-// chunk cache's dedup/eviction accounting, and codec negotiation (a binary
-// proxy dropping to JSON against an old peer).
+// chunk cache's dedup/eviction accounting, and the service's typed answer
+// to non-binary requests.
 
 #include "storage/wire_codec.h"
 
@@ -29,7 +29,7 @@ Hash256 FilledId(uint8_t byte) {
 
 // --------------------------------------------------------------- varint ---
 
-TEST(WireCodecTest, VarintRoundTripsBoundaries) {
+TEST(BinaryCodecTest, VarintRoundTripsBoundaries) {
   const uint64_t values[] = {0,    1,    127,        128,
                              300,  16383, 16384,     (1ull << 32) - 1,
                              1ull << 32, ~0ull};
@@ -50,9 +50,9 @@ TEST(WireCodecTest, VarintRoundTripsBoundaries) {
 
 // --------------------------------------------------------------- golden ---
 // These vectors freeze the on-wire layout: a refactor that changes any byte
-// here is a wire-format break and must bump kWireVersionBinary instead.
+// here is a wire-format break and must bump kWireVersion instead.
 
-TEST(WireCodecTest, GoldenPutRequest) {
+TEST(BinaryCodecTest, GoldenPutRequest) {
   const std::string encoded = wire::EncodePutRequest("k", "v");
   // magic, opcode kPut, meta_len 3, field key (tag1|bytes)=0x05, len 1,
   // 'k', then the body verbatim.
@@ -60,7 +60,7 @@ TEST(WireCodecTest, GoldenPutRequest) {
   EXPECT_EQ(encoded, expected);
 }
 
-TEST(WireCodecTest, GoldenIdRequest) {
+TEST(BinaryCodecTest, GoldenIdRequest) {
   const std::string encoded =
       wire::EncodeIdRequest(wire::Method::kGetVersion, FilledId(0xAB));
   ASSERT_EQ(encoded.size(), 3u + 1 + 32);
@@ -73,13 +73,13 @@ TEST(WireCodecTest, GoldenIdRequest) {
   }
 }
 
-TEST(WireCodecTest, GoldenReadCostRequest) {
+TEST(BinaryCodecTest, GoldenReadCostRequest) {
   // varint 300 = 0xAC 0x02; field key (tag3 | varint kind) = 0x0C.
   EXPECT_EQ(wire::EncodeReadCostRequest(300),
             std::string("\xBC\x0B\x03\x0C\xAC\x02", 6));
 }
 
-TEST(WireCodecTest, GoldenHasAndDataResponses) {
+TEST(BinaryCodecTest, GoldenHasAndDataResponses) {
   EXPECT_EQ(wire::EncodeHasResponse(true),
             std::string("\xBC\x00\x02\x04\x01", 5));
   EXPECT_EQ(wire::EncodeDataResponse("hello"),
@@ -88,7 +88,7 @@ TEST(WireCodecTest, GoldenHasAndDataResponses) {
 
 // ------------------------------------------------------------ zero copy ---
 
-TEST(WireCodecTest, DecodedRequestBodyIsAViewIntoTheMessage) {
+TEST(BinaryCodecTest, DecodedRequestBodyIsAViewIntoTheMessage) {
   const std::string payload(100 * 1024, 'x');
   const std::string message = wire::EncodePutRequest("model/w", payload);
   auto request = wire::DecodeRequest(message);
@@ -102,7 +102,7 @@ TEST(WireCodecTest, DecodedRequestBodyIsAViewIntoTheMessage) {
             message.data() + message.size() - payload.size());
 }
 
-TEST(WireCodecTest, DecodedDataResponseIsAViewIntoTheMessage) {
+TEST(BinaryCodecTest, DecodedDataResponseIsAViewIntoTheMessage) {
   const std::string value(64 * 1024, 'y');
   const std::string message = wire::EncodeDataResponse(value);
   auto data = wire::DecodeDataResponse(message);
@@ -113,7 +113,7 @@ TEST(WireCodecTest, DecodedDataResponseIsAViewIntoTheMessage) {
 
 // ---------------------------------------------------- codec round trips ---
 
-TEST(WireCodecTest, RequestRoundTripsEveryMethod) {
+TEST(BinaryCodecTest, RequestRoundTripsEveryMethod) {
   // Decoded requests are VIEWS into the message, so each encoded message
   // lives in a named local for the duration of its assertions.
   const std::string key_message =
@@ -154,7 +154,7 @@ TEST(WireCodecTest, RequestRoundTripsEveryMethod) {
   EXPECT_EQ(many->batch[1].second, std::string(1000, 'b'));
 }
 
-TEST(WireCodecTest, ResponseRoundTripsEveryShape) {
+TEST(BinaryCodecTest, ResponseRoundTripsEveryShape) {
   PutResult result;
   result.id = FilledId(0x11);
   result.logical_bytes = 12345;
@@ -233,7 +233,7 @@ TEST(WireCodecTest, ResponseRoundTripsEveryShape) {
   EXPECT_EQ(decoded.message(), "no version abc");
 }
 
-TEST(WireCodecTest, MalformedBinaryRequestsProduceErrorsNotCrashes) {
+TEST(BinaryCodecTest, MalformedBinaryRequestsProduceErrorsNotCrashes) {
   ForkBaseEngine engine;
   const std::string garbage = std::string("\xBC\x63", 2) + "!!!!";
   const std::string response = wire::DispatchBinary(&engine, garbage);
@@ -249,7 +249,7 @@ TEST(WireCodecTest, MalformedBinaryRequestsProduceErrorsNotCrashes) {
   EXPECT_FALSE(truncated_status.ok());
 }
 
-TEST(WireCodecTest, PutManyHostileCountIsRejectedNotReserved) {
+TEST(BinaryCodecTest, PutManyHostileCountIsRejectedNotReserved) {
   // A put_many whose count varint says 2^64-1 entries but whose body holds
   // none. The count must be rejected against the body size BEFORE reserve()
   // touches it — a thrown length_error would escape the dispatch path and
@@ -275,7 +275,7 @@ TEST(WireCodecTest, PutManyHostileCountIsRejectedNotReserved) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(WireCodecTest, EntriesResponseHugeKeyLenIsCorruptionNotOverflow) {
+TEST(BinaryCodecTest, EntriesResponseHugeKeyLenIsCorruptionNotOverflow) {
   // key_len near 2^64 makes `key_len + 32` wrap to a small number; the
   // bounds check must not use that sum or the decoder reads far out of the
   // buffer. A hostile ok-response: empty meta, body = huge key_len varint
@@ -294,7 +294,7 @@ TEST(WireCodecTest, EntriesResponseHugeKeyLenIsCorruptionNotOverflow) {
 
 // ------------------------------------------------------- chunk streaming ---
 
-TEST(WireCodecTest, StreamAssemblerReassemblesAndVerifies) {
+TEST(BinaryCodecTest, StreamAssemblerReassemblesAndVerifies) {
   std::string value(3 * 1024 * 1024, '\0');
   for (size_t i = 0; i < value.size(); ++i) {
     value[i] = static_cast<char>((i * 2654435761u) >> 13);
@@ -318,7 +318,7 @@ TEST(WireCodecTest, StreamAssemblerReassemblesAndVerifies) {
   EXPECT_EQ(assembler.active_streams(), 0u);
 }
 
-TEST(WireCodecTest, StreamAssemblerRejectsManifestMismatch) {
+TEST(BinaryCodecTest, StreamAssemblerRejectsManifestMismatch) {
   wire::StreamAssembler assembler(1 << 20);
   ASSERT_TRUE(assembler.OnChunk(7, "chunk-one").ok());
   auto bad = assembler.OnEnd(
@@ -328,7 +328,7 @@ TEST(WireCodecTest, StreamAssemblerRejectsManifestMismatch) {
   EXPECT_EQ(assembler.active_streams(), 0u);  // stream is gone either way
 }
 
-TEST(WireCodecTest, StreamAssemblerRejectsEndWithoutStreamAndOverflow) {
+TEST(BinaryCodecTest, StreamAssemblerRejectsEndWithoutStreamAndOverflow) {
   wire::StreamAssembler assembler(16);
   auto orphan =
       assembler.OnEnd(1, wire::EncodeChunkEnd(0, 0, FilledId(0)));
@@ -342,7 +342,7 @@ TEST(WireCodecTest, StreamAssemblerRejectsEndWithoutStreamAndOverflow) {
   EXPECT_EQ(overflow.code(), StatusCode::kCorruption);
 }
 
-TEST(WireCodecTest, ChunkCacheDedupesAndEvicts) {
+TEST(BinaryCodecTest, ChunkCacheDedupesAndEvicts) {
   wire::WireChunkCache cache(64);  // tiny: retains a handful of chunks
   const Hash256 a1 = cache.Add("chunk-aaaa");
   const Hash256 a2 = cache.Add("chunk-aaaa");  // identical: dedup hit
@@ -359,7 +359,7 @@ TEST(WireCodecTest, ChunkCacheDedupesAndEvicts) {
   EXPECT_LE(cache.stats().physical_bytes, 256u);
 }
 
-TEST(WireCodecTest, ChunkCacheEntryCapBoundsRetainedRefsUnderDedup) {
+TEST(BinaryCodecTest, ChunkCacheEntryCapBoundsRetainedRefsUnderDedup) {
   // 32 KiB cap -> at most two retained references (32 KiB / 16 KiB floor).
   // Heavy dedup keeps physical bytes flat, so the bytes cap never fires; the
   // reference-count cap must, or retained_ grows for the server's lifetime.
@@ -378,53 +378,40 @@ TEST(WireCodecTest, ChunkCacheEntryCapBoundsRetainedRefsUnderDedup) {
 // ----------------------------------------------- end-to-end over loopback ---
 
 std::unique_ptr<RemoteStorageEngine> LoopbackRemote(
-    StorageEngineService* service, WireCodec codec) {
+    StorageEngineService* service) {
   return std::make_unique<RemoteStorageEngine>(
       std::make_unique<LoopbackTransport>(
           [service](std::string_view request) {
             return service->Handle(request);
-          }),
-      codec);
+          }));
 }
 
-TEST(WireCodecTest, BinaryAndJsonProxiesAgreeWithTheDirectEngine) {
-  // Three engines, identical op sequence: direct, via binary codec, via
-  // JSON codec. Content addressing makes equal inputs produce equal ids,
-  // so any divergence is a codec bug.
+TEST(BinaryCodecTest, BinaryProxyAgreesWithTheDirectEngine) {
+  // Two engines, identical op sequence: direct, and via the binary codec.
+  // Content addressing makes equal inputs produce equal ids, so any
+  // divergence is a codec bug.
   ForkBaseEngine direct;
   StorageEngineService binary_service(std::make_unique<ForkBaseEngine>());
-  StorageEngineService json_service(std::make_unique<ForkBaseEngine>());
-  auto binary = LoopbackRemote(&binary_service, WireCodec::kBinary);
-  auto json = LoopbackRemote(&json_service, WireCodec::kJson);
-  EXPECT_EQ(binary->codec(), WireCodec::kBinary);
-  EXPECT_EQ(json->codec(), WireCodec::kJson);
+  auto binary = LoopbackRemote(&binary_service);
   EXPECT_EQ(binary->Name(), "remote(forkbase)");
-  EXPECT_EQ(json->Name(), "remote(forkbase)");
 
   const std::string blob(100 * 1024, '\x7F');
   auto dp = direct.Put("w", blob);
   auto bp = binary->Put("w", blob);
-  auto jp = json->Put("w", blob);
   ASSERT_TRUE(dp.ok());
   ASSERT_TRUE(bp.ok());
-  ASSERT_TRUE(jp.ok());
   EXPECT_EQ(bp->id.ToHex(), dp->id.ToHex());
-  EXPECT_EQ(jp->id.ToHex(), dp->id.ToHex());
   EXPECT_EQ(bp->logical_bytes, dp->logical_bytes);
   EXPECT_EQ(bp->new_physical_bytes, dp->new_physical_bytes);
 
   std::vector<PutRequest> batch = {{"w", blob + "2"}, {"x", "tiny"}};
   auto db = direct.PutMany(batch);
   auto bb = binary->PutMany(batch);
-  auto jb = json->PutMany(batch);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE(bb.ok());
-  ASSERT_TRUE(jb.ok());
   for (size_t i = 0; i < db->size(); ++i) {
     EXPECT_EQ((*bb)[i].id.ToHex(), (*db)[i].id.ToHex());
-    EXPECT_EQ((*jb)[i].id.ToHex(), (*db)[i].id.ToHex());
   }
-
   auto bg = binary->Get("w");
   ASSERT_TRUE(bg.ok());
   EXPECT_EQ(*bg, blob + "2");
@@ -453,33 +440,54 @@ TEST(WireCodecTest, BinaryAndJsonProxiesAgreeWithTheDirectEngine) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
-TEST(WireCodecTest, AutoCodecNegotiatesDownAgainstAJsonOnlyPeer) {
-  // Emulates an old (pre-binary) service: binary requests bounce with a
-  // JSON error document, JSON requests work. kAuto must settle on JSON and
-  // then behave identically to a forced-JSON proxy.
-  StorageEngineService service(std::make_unique<ForkBaseEngine>());
-  auto old_peer = [&service](std::string_view request) -> std::string {
-    if (wire::IsBinaryMessage(request)) {
-      return "{\"ok\": false, \"code\": 12, \"message\": \"unparseable\"}";
-    }
-    return service.Handle(request);
+TEST(BinaryCodecTest, ServiceAnswersNonBinaryRequestsTypedWithoutSideEffects) {
+  // Only binary messages are storage requests: an empty request, a JSON
+  // put carrying a replay token, and random bytes must each come back as a
+  // typed binary error — never reaching the engine, never touching the
+  // replay ledger.
+  std::string noise(64, '\0');
+  uint32_t state = 12345;
+  for (char& c : noise) {
+    state = state * 1103515245u + 12345u;
+    c = static_cast<char>(state >> 16);
+  }
+  noise[0] = '\x42';  // anything but the binary magic
+  const std::string inputs[] = {
+      "",
+      "{\"method\":\"put\",\"key\":\"artifact/json\","
+      "\"data\":\"7061796c6f6164\",\"replay_token\":\"sess.json\"}",
+      noise,
   };
-  RemoteStorageEngine remote(std::make_unique<LoopbackTransport>(old_peer),
-                             WireCodec::kAuto);
-  EXPECT_EQ(remote.codec(), WireCodec::kJson);
-  EXPECT_EQ(remote.Name(), "remote(forkbase)");
-  auto put = remote.Put("k", "value");
-  ASSERT_TRUE(put.ok());
-  auto get = remote.Get("k");
-  ASSERT_TRUE(get.ok());
-  EXPECT_EQ(*get, "value");
-}
+  for (const std::string& input : inputs) {
+    auto owned = std::make_unique<ForkBaseEngine>();
+    ForkBaseEngine* backend = owned.get();
+    StorageEngineService service(std::move(owned));
 
-TEST(WireCodecTest, AutoCodecStaysBinaryAgainstACurrentPeer) {
-  StorageEngineService service(std::make_unique<ForkBaseEngine>());
-  auto remote = LoopbackRemote(&service, WireCodec::kAuto);
-  EXPECT_EQ(remote->codec(), WireCodec::kBinary);
-  EXPECT_EQ(remote->Name(), "remote(forkbase)");
+    // The reply is itself a well-formed binary error response, so the
+    // status below is the server's, not a local decode failure.
+    const std::string response = service.Handle(input);
+    ASSERT_TRUE(wire::IsBinaryMessage(response)) << "input size "
+                                                 << input.size();
+    std::string_view rest;
+    const Status status = wire::DecodeResponseStatus(response, &rest);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status;
+    EXPECT_EQ(static_cast<uint8_t>(response[1]),
+              static_cast<uint8_t>(StatusCode::kCorruption));
+    EXPECT_EQ(backend->stats().puts, 0u);
+    EXPECT_EQ(service.replay_hits(), 0u);
+
+    // No ledger claim was left behind: a binary request (even one reusing
+    // the JSON document's token) executes normally, and only its own
+    // duplicate is answered from the ledger.
+    const std::string put =
+        wire::EncodePutRequest("artifact/after", "payload", "sess.json");
+    const std::string first = service.Handle(put);
+    EXPECT_TRUE(wire::DecodePutResponse(first).ok());
+    EXPECT_EQ(backend->stats().puts, 1u);
+    EXPECT_EQ(service.replay_hits(), 0u);
+    EXPECT_EQ(service.Handle(put), first);
+    EXPECT_EQ(service.replay_hits(), 1u);
+  }
 }
 
 }  // namespace

@@ -260,8 +260,7 @@ int main(int argc, char** argv) {
 
   // --serve-merge promotes this process from a storage shard to a full
   // merge endpoint: service opcodes peel off to the merge front end, all
-  // other traffic (storage RPCs, JSON) flows to the storage service on the
-  // same connection.
+  // other traffic flows to the storage service on the same connection.
   std::unique_ptr<service::MergeService> merge_service;
   std::unique_ptr<service::MergeFrontend> merge_frontend;
   if (serve_merge) {

@@ -234,9 +234,7 @@ int main(int argc, char** argv) {
     bench::CheckOk(spec.status(), "client fault spec");
     client.injector = std::make_shared<storage::FaultInjector>(*spec);
     auto cluster = bench::CheckedValue(
-        storage::ConnectCluster(servers.endpoints(),
-                                storage::ShardedStorageEngine::Options(),
-                                client),
+        storage::ConnectCluster(servers.endpoints(), client),
         "migration cluster connect");
 
     // Only acknowledged writes join the loss contract; a put the injector

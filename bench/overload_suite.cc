@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
                 "seed=" + std::to_string(seed) + ",delay_ms=2:0.05");
   auto engine = bench::CheckedValue(
       storage::ConnectCluster(
-          cluster.endpoints, storage::ShardedStorageEngine::Options(),
+          cluster.endpoints,
           ClientOptions(seed, "seed=" + std::to_string(seed + 1) +
                                   ",drop=0.01,dropafter=0.01")),
       "connect saturation cluster");

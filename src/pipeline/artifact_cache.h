@@ -51,10 +51,9 @@ struct ArtifactEntry {
 };
 
 /// A concurrent artifact cache with per-key in-flight guards. This is the
-/// single cache namespace behind the executor: chain prefixes from Run() and
-/// DAG nodes from RunDag() use the same recursive keying
-/// (Executor::NodeKey), so a chain and the equivalent linear DAG share
-/// entries.
+/// single cache namespace behind the executor: every Executor::Run keys its
+/// nodes with the same recursive scheme (Executor::NodeKey), so a chain
+/// prefix and the equivalent linear DAG node share one entry.
 ///
 /// The in-flight guard is what keeps `executions()` — the paper's pruned
 /// candidate metric — identical between serial and parallel search: when two
@@ -115,10 +114,9 @@ class ArtifactCache {
     uint64_t insertions = 0;  ///< Entries published (Fulfill + Insert).
     /// Largest single entry ever published. Useful for sizing caps and for
     /// bounding the pinned overshoot: peak_bytes can exceed max_bytes by
-    /// at most the transiently pinned working set — a couple of entries
-    /// per concurrently running chain candidate, or a whole DAG run's
-    /// planned-on cached nodes (RunDag pins its plan for the run's
-    /// duration).
+    /// at most the transiently pinned working set: the entries each
+    /// running pipeline still reads — at most two per running chain
+    /// candidate (its current input and output; see Executor::Run).
     uint64_t largest_entry_bytes = 0;
   };
 

@@ -73,10 +73,11 @@ StatusOr<double> ExecutionCore::RunWorkers(const WorkerBody& body,
     return body(ctx);
   };
 
-  if (threads_.empty()) {
-    // Inline pool: bodies run sequentially on the calling thread. Worker
-    // bodies are drain-loops, so body 0 typically does all the work and the
-    // rest return immediately; virtual time is modelled by the callers'
+  if (threads_.empty() || n == 1) {
+    // Inline: a threadless pool, or a single body (the submitter would only
+    // wait for it), runs on the calling thread — no handoff. Worker bodies
+    // are drain-loops, so body 0 typically does all the work and the rest
+    // return immediately; virtual time is modelled by the callers'
     // VirtualWorkerPool, not by real concurrency.
     for (size_t i = 0; i < n; ++i) {
       Status s = run_body(i);

@@ -57,13 +57,15 @@ class VirtualWorkerPool {
 ///  - RunGraph(): a topological DAG scheduler. A task is dispatched to an
 ///    idle worker as soon as all its predecessors have finished; the worker
 ///    clock is advanced to the predecessors' virtual finish time first, so
-///    the final makespan models a W-worker machine.
+///    the final makespan models a W-worker machine. Every pipeline run —
+///    chain or DAG, commit or merge candidate — goes through it
+///    (Executor::Run).
 ///
 /// ## Pool ownership rules
 ///
 /// An ExecutionCore is a LONG-LIVED, SHARED resource: construct one per
 /// deployment (or per executor/merge operation) and reuse it for every
-/// RunDag call and every merge candidate. Hot paths must never construct a
+/// pipeline run and every merge candidate. Hot paths must never construct a
 /// pool per call — `ExecutionCore::instances_created()` is a process-wide
 /// counter the regression tests use to prove they don't. Ownership:
 ///
@@ -90,16 +92,18 @@ class VirtualWorkerPool {
 ///
 /// Scheduling calls are reentrant: a body running ON a pool worker may
 /// itself call RunGraph/RunWorkers on the same pool (a merge candidate that
-/// recursively enters RunDag, say). The submitting thread never just blocks
-/// on its batch — it HELPS: it claims and runs the still-unclaimed tasks of
-/// its own batch (batch-local work stealing), so a nested call always makes
-/// progress even when every pool thread is occupied by outer bodies.
+/// recursively enters Executor::Run, say). The submitting thread never just
+/// blocks on its batch — it HELPS: it claims and runs the still-unclaimed
+/// tasks of its own batch (batch-local work stealing), so a nested call
+/// always makes progress even when every pool thread is occupied by outer
+/// bodies.
 /// Without this, nested submission deadlocks: all threads wait for jobs
 /// that nobody is left to run. `stats().tasks_stolen` counts the helps.
 ///
-/// With virtual width 1 the single body runs tasks in deterministic FIFO
-/// order — the serial paths of the executor and the search stay
-/// bit-identical to the pre-parallel implementation.
+/// With virtual width 1 the single body runs inline on the calling thread
+/// (no handoff to a pool thread, whatever the pool's size) and executes
+/// tasks in deterministic FIFO order — the serial paths of the executor and
+/// the search stay bit-identical to the pre-parallel implementation.
 ///
 /// Real threads do the real (toy) compute, which is what the concurrency
 /// tests hammer; reported times come from the virtual clocks, consistent
@@ -124,7 +128,8 @@ class ExecutionCore {
   using WorkerBody = std::function<Status(WorkerContext&)>;
 
   /// Runs `num_bodies` copies of `body` (0 = one per real pool thread, the
-  /// historical behaviour); every worker clock starts at `start_time_s`.
+  /// historical behaviour); every worker clock starts at `start_time_s`. A
+  /// single body runs inline on the calling thread.
   /// Returns the makespan (max worker clock at completion), or the first
   /// non-ok status any body returned. Reentrant (see pool ownership rules
   /// above): the calling thread helps drain its own batch.
@@ -160,8 +165,8 @@ class ExecutionCore {
   PoolStats stats() const;
 
   /// Process-wide count of ExecutionCore instances ever constructed. Hot
-  /// paths (RunDag, per-merge-candidate runs) must not move this; tests
-  /// assert on the delta.
+  /// paths (pipeline runs, per-merge-candidate runs) must not move this;
+  /// tests assert on the delta.
   static uint64_t instances_created() {
     return instances_.load(std::memory_order_relaxed);
   }

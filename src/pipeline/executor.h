@@ -32,10 +32,10 @@ struct ExecutorOptions {
   /// Materialize component outputs into the storage engine.
   bool store_outputs = true;
   uint64_t seed = 1;
-  /// Worker threads for RunDag: independent DAG components dispatch
+  /// Virtual machine width of the run: independent DAG components dispatch
   /// concurrently through the ExecutionCore. 1 = explicitly serial
-  /// (deterministic FIFO topological order, the pre-parallel behaviour);
-  /// 0 = unset, meaning serial unless a driver-level default (e.g.
+  /// (deterministic FIFO topological order, run inline on the calling
+  /// thread); 0 = unset, meaning serial unless a driver-level default (e.g.
   /// sim::Deployment::num_workers) fills it in.
   size_t num_workers = 0;
   /// Per-run clock override. When set, this run charges its simulated time
@@ -57,7 +57,7 @@ struct ExecutorOptions {
   /// false to preserve the legacy full-wait charging (A/B comparison).
   bool streamed_handoff = true;
   /// Shared long-lived ExecutionCore (non-owning; must outlive the run).
-  /// When set, RunDag schedules on it instead of the executor's own
+  /// When set, Run schedules on it instead of the executor's own
   /// fallback pool — one deployment-wide pool serves every run and merge
   /// candidate (see the pool-ownership rules in execution_core.h). The
   /// pool's real thread count is independent of `num_workers`, which is the
@@ -102,8 +102,9 @@ struct PipelineRunResult {
 /// chain key, which is what lets sibling pipelines in a merge search tree
 /// share everything up to their divergence point (paper Sec. VI-B: "nodes
 /// sharing the same parent node also share the same path to the tree root").
-/// Chain runs (Run) and DAG runs (RunDag) share one cache namespace: a chain
-/// and the equivalent linear DAG hit the same entries.
+/// One run path serves chains and general DAGs alike: a chain is a linear
+/// DAG, and its node keys fold exactly as ChainKey does, so merge candidates,
+/// seeded checkpoints and DAG runs hit the same entries.
 ///
 /// Thread safety: one executor may serve many workers at once. The cache's
 /// per-key in-flight guards make concurrent candidates sharing a prefix
@@ -122,21 +123,23 @@ class Executor {
         clock_(clock),
         cache_(cache_options) {}
 
-  /// Runs `pipeline` (a chain) with the given options. Compatibility
-  /// failures are reported in the result, not as an error status; hard
-  /// errors (unknown impl, malformed pipeline) are error statuses.
+  /// Runs a pipeline DAG (Definition 1; a chain is the linear case) through
+  /// the ExecutionCore's topological scheduler. Every component receives its
+  /// predecessors' outputs (name-sorted) through ExecInput::inputs — one for
+  /// a chain component. With options.num_workers > 1, independent components
+  /// run concurrently; reported times model the resulting schedule's
+  /// makespan. Compatibility requires every predecessor's output schema to
+  /// match the consumer's declared input schema; compatibility failures are
+  /// reported in the result, not as an error status, while hard errors
+  /// (unknown impl, malformed pipeline) are error statuses.
+  ///
+  /// Cached entries are pinned only while the run reads them: a checkpoint
+  /// an executing component consumes (or a cached sink, whose score is the
+  /// result) from planning until its last executing reader finishes, and
+  /// each freshly computed table until the same point. A running chain
+  /// therefore holds at most its current input and output.
   StatusOr<PipelineRunResult> Run(const Pipeline& pipeline,
                                   const ExecutorOptions& options);
-
-  /// Runs a general DAG pipeline (Definition 1). Components with several
-  /// predecessors receive all their inputs (name-sorted) through
-  /// ExecInput::inputs. With options.num_workers > 1, independent components
-  /// run concurrently on the ExecutionCore; reported times model the
-  /// resulting schedule's makespan. Compatibility requires every
-  /// predecessor's output schema to match the consumer's declared input
-  /// schema.
-  StatusOr<PipelineRunResult> RunDag(const Pipeline& pipeline,
-                                     const ExecutorOptions& options);
 
   /// Pre-seeds the artifact cache for the chain `specs[0..specs.size())` —
   /// used to install checkpoints from commit history (the green nodes of the
@@ -193,10 +196,11 @@ class Executor {
   std::atomic<uint64_t> executions_{0};
   /// Fallback pool for runs that pass no ExecutorOptions::core: built
   /// lazily once, sized by the first request, reused for the executor's
-  /// lifetime — RunDag never constructs a per-call pool
+  /// lifetime — Run never constructs a per-call pool
   /// (ExecutionCore::instances_created() proves it). Later runs requesting
   /// a wider machine still report correct makespans: the virtual width is
-  /// passed per call, independent of the pool's real thread count.
+  /// passed per call, independent of the pool's real thread count. A
+  /// width-1 first request builds a threadless pool.
   LazyExecutionCore fallback_core_;
 };
 

@@ -24,9 +24,8 @@ StatusOr<Hash256> Deployment::RunAndCommit(
   pipeline::ExecutorOptions eo = opts;
   if (eo.num_workers == 0) eo.num_workers = num_workers;  // 0 = unset
   if (eo.core == nullptr) eo.core = core.get();  // share the deployment pool
-  MLCASK_ASSIGN_OR_RETURN(
-      pipeline::PipelineRunResult run,
-      p.IsChain() ? executor->Run(p, eo) : executor->RunDag(p, eo));
+  MLCASK_ASSIGN_OR_RETURN(pipeline::PipelineRunResult run,
+                          executor->Run(p, eo));
   if (run.compatibility_failure) {
     return Status::Incompatible("pipeline failed compatibility at " +
                                 run.failed_component);
@@ -73,9 +72,7 @@ StatusOr<std::unique_ptr<Deployment>> MakeDeployment(
     }
     MLCASK_ASSIGN_OR_RETURN(
         d->engine,
-        storage::ConnectCluster(config.storage_endpoints,
-                                storage::ShardedStorageEngine::Options(),
-                                transport_options));
+        storage::ConnectCluster(config.storage_endpoints, transport_options));
   } else if (config.storage_shards >= 2) {
     d->engine = storage::MakeLoopbackCluster(config.storage_shards,
                                              backend_factory);

@@ -23,7 +23,6 @@ namespace mlcask::storage {
 
 StatusOr<std::unique_ptr<ShardedStorageEngine>> ConnectCluster(
     const std::vector<std::string>& endpoints,
-    ShardedStorageEngine::Options options,
     const SocketTransport::Options& transport_options) {
   if (endpoints.empty()) {
     return Status::InvalidArgument(
@@ -42,8 +41,7 @@ StatusOr<std::unique_ptr<ShardedStorageEngine>> ConnectCluster(
     proxies.push_back(
         std::make_unique<RemoteStorageEngine>(std::move(transport)));
   }
-  return std::make_unique<ShardedStorageEngine>(std::move(proxies),
-                                                std::move(options));
+  return std::make_unique<ShardedStorageEngine>(std::move(proxies));
 }
 
 namespace {

@@ -24,7 +24,6 @@ namespace mlcask::storage {
 /// rejected: they have no wire to dial (use MakeLoopbackCluster).
 StatusOr<std::unique_ptr<ShardedStorageEngine>> ConnectCluster(
     const std::vector<std::string>& endpoints,
-    ShardedStorageEngine::Options options = ShardedStorageEngine::Options(),
     const SocketTransport::Options& transport_options =
         SocketTransport::Options());
 

@@ -281,11 +281,7 @@ std::vector<KeyMove> PlanMigration(const ShardRing& from, const ShardRing& to,
 
 ShardedStorageEngine::ShardedStorageEngine(
     std::vector<std::unique_ptr<StorageEngine>> shards)
-    : ShardedStorageEngine(std::move(shards), Options()) {}
-
-ShardedStorageEngine::ShardedStorageEngine(
-    std::vector<std::unique_ptr<StorageEngine>> shards, Options options)
-    : shards_(std::move(shards)), options_(std::move(options)) {
+    : shards_(std::move(shards)) {
   MLCASK_CHECK_MSG(!shards_.empty(),
                    "sharded engine needs at least one shard");
   MLCASK_CHECK_MSG(shards_.size() <= kSlotCapacity,
@@ -296,7 +292,7 @@ ShardedStorageEngine::ShardedStorageEngine(
   std::vector<size_t> members(shards_.size());
   std::iota(members.begin(), members.end(), size_t{0});
   current_ring_ = BuildShardRing(/*epoch=*/0, std::move(members),
-                                 options_.virtual_nodes_per_shard);
+                                 kVirtualNodesPerShard);
   tp_stats_.per_shard_round_trips.assign(shards_.size(), 0);
   bc_stats_.per_shard_probes.assign(shards_.size(), 0);
   consecutive_failures_.assign(shards_.size(), 0);
@@ -456,7 +452,7 @@ size_t ShardedStorageEngine::ShardForKey(std::string_view key) const {
 }
 
 bool ShardedStorageEngine::IsReplicated(std::string_view key) const {
-  for (const std::string& prefix : options_.replicated_prefixes) {
+  for (std::string_view prefix : kReplicatedPrefixes) {
     if (StartsWith(key, prefix)) return true;
   }
   return false;
@@ -1284,7 +1280,7 @@ Status ShardedStorageEngine::PersistPlan(const ShardRing& from,
   const size_t home = to.members.front();
   auto put = shards_[home]->Put(std::string(kPlanKey),
                                 SerializePlan(from, to,
-                                              options_.virtual_nodes_per_shard));
+                                              kVirtualNodesPerShard));
   NoteShardResult(home, put.ok() ? Status::Ok() : put.status());
   if (!put.ok()) {
     return Status(put.status().code(),
@@ -1366,7 +1362,7 @@ Status ShardedStorageEngine::AddShard(std::unique_ptr<StorageEngine> shard,
   std::vector<size_t> members = old_ring.members;
   members.push_back(new_slot);
   ShardRing next = BuildShardRing(old_ring.epoch + 1, std::move(members),
-                                  options_.virtual_nodes_per_shard);
+                                  kVirtualNodesPerShard);
   // Durable plan BEFORE the epoch flips: a router killed right after the
   // install still leaves a resumable record behind. A failed plan write
   // aborts cleanly — nothing changed yet.
@@ -1440,7 +1436,7 @@ Status ShardedStorageEngine::RemoveShard(size_t slot,
     if (s != slot) members.push_back(s);
   }
   ShardRing next = BuildShardRing(old_ring.epoch + 1, std::move(members),
-                                  options_.virtual_nodes_per_shard);
+                                  kVirtualNodesPerShard);
   MLCASK_RETURN_IF_ERROR(PersistPlan(old_ring, next));
   {
     std::unique_lock<std::shared_mutex> topo(topo_mu_);
@@ -1915,7 +1911,7 @@ Status ShardedStorageEngine::FinalizeMigrationLocked() {
   // routing a slice of the keyspace to a drained slot. Every member carries
   // a copy so the record survives any single surviving shard being down.
   const std::string topology =
-      SerializeTopology(current, options_.virtual_nodes_per_shard);
+      SerializeTopology(current, kVirtualNodesPerShard);
   for (size_t s : current.members) {
     auto put = shards_[s]->Put(std::string(kTopologyKey), topology);
     NoteShardResult(s, put.ok() ? Status::Ok() : put.status());
@@ -1967,16 +1963,14 @@ std::unique_ptr<StorageEngine> MakeLoopbackShard(
 
 std::unique_ptr<ShardedStorageEngine> MakeLoopbackCluster(
     size_t shards,
-    const std::function<std::unique_ptr<StorageEngine>()>& backend_factory,
-    ShardedStorageEngine::Options options) {
+    const std::function<std::unique_ptr<StorageEngine>()>& backend_factory) {
   MLCASK_CHECK_MSG(shards > 0, "cluster needs at least one shard");
   std::vector<std::unique_ptr<StorageEngine>> proxies;
   proxies.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     proxies.push_back(MakeLoopbackShard(backend_factory()));
   }
-  return std::make_unique<ShardedStorageEngine>(std::move(proxies),
-                                                std::move(options));
+  return std::make_unique<ShardedStorageEngine>(std::move(proxies));
 }
 
 }  // namespace mlcask::storage

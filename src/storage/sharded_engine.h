@@ -64,15 +64,15 @@ std::vector<KeyMove> PlanMigration(const ShardRing& from, const ShardRing& to,
 /// ## Routing
 ///
 /// Object keys route by consistent hashing: each shard owns
-/// `virtual_nodes_per_shard` points on a 64-bit ring, a key goes to the shard
+/// `kVirtualNodesPerShard` points on a 64-bit ring, a key goes to the shard
 /// owning the first point at or after H(key). Version ids route through a
 /// router-side index maintained on Put (with a broadcast probe as fallback),
 /// since a content id alone does not reveal its key.
 ///
 /// ## Replicated namespaces (cross-shard branch-table coordination)
 ///
-/// Keys matching `replicated_prefixes` — by default the `pipeline/` commit
-/// logs that persist the branch table and the `library/` metafiles — are
+/// Keys matching `kReplicatedPrefixes` — the `pipeline/` commit logs that
+/// persist the branch table and the `library/` metafiles — are
 /// written to EVERY live shard through the two-phase protocol below and read
 /// from the COORDINATOR shard (the first live member of the current ring;
 /// slot 0 until a rebalance retires it). Version-control metadata must be
@@ -122,15 +122,14 @@ std::vector<KeyMove> PlanMigration(const ShardRing& from, const ShardRing& to,
 /// driven by a single thread.
 class ShardedStorageEngine : public StorageEngine {
  public:
-  struct Options {
-    /// Key prefixes replicated to every shard (see above).
-    std::vector<std::string> replicated_prefixes = {"pipeline/", "library/"};
-    /// Ring points per shard; more points = smoother key balance. 384
-    /// keeps the measured max/min ownership ratio under 1.3 at 2–8 shards
-    /// (16 points skewed up to 2.4× at 8 shards); ring build is a one-off
-    /// few-hundred SHA-256s per shard, lookups stay O(log points).
-    size_t virtual_nodes_per_shard = 384;
-  };
+  /// Key prefixes replicated to every shard (see above).
+  static constexpr std::string_view kReplicatedPrefixes[] = {"pipeline/",
+                                                             "library/"};
+  /// Ring points per shard; more points = smoother key balance. 384 keeps
+  /// the measured max/min ownership ratio under 1.3 at 2–8 shards (16
+  /// points skewed up to 2.4× at 8 shards); ring build is a one-off
+  /// few-hundred SHA-256s per shard, lookups stay O(log points).
+  static constexpr size_t kVirtualNodesPerShard = 384;
 
   /// Two-phase-commit telemetry. `two_phase_stats()` returns a CONSISTENT
   /// snapshot: all counters are bumped together, under one mutex, at
@@ -222,8 +221,6 @@ class ShardedStorageEngine : public StorageEngine {
   /// Takes ownership of the child engines. At least one shard is required.
   explicit ShardedStorageEngine(
       std::vector<std::unique_ptr<StorageEngine>> shards);
-  ShardedStorageEngine(std::vector<std::unique_ptr<StorageEngine>> shards,
-                       Options options);
 
   StatusOr<PutResult> Put(const std::string& key,
                           std::string_view data) override;
@@ -460,7 +457,6 @@ class ShardedStorageEngine : public StorageEngine {
   static constexpr size_t kSlotCapacity = 64;
 
   std::vector<std::unique_ptr<StorageEngine>> shards_;
-  Options options_;
 
   /// Topology: the current ring, plus the previous epoch's while a
   /// migration is in flight. Writers (install/finalize) take it unique;
@@ -531,8 +527,7 @@ class ShardedStorageEngine : public StorageEngine {
 /// real multi-process setup needs.
 std::unique_ptr<ShardedStorageEngine> MakeLoopbackCluster(
     size_t shards,
-    const std::function<std::unique_ptr<StorageEngine>()>& backend_factory,
-    ShardedStorageEngine::Options options = ShardedStorageEngine::Options());
+    const std::function<std::unique_ptr<StorageEngine>()>& backend_factory);
 
 /// Builds one loopback shard proxy around `backend` — what AddShard wants
 /// when growing a MakeLoopbackCluster-style deployment.

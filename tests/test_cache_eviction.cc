@@ -16,7 +16,9 @@
 #include "common/logging.h"
 #include "merge/merge_op.h"
 #include "pipeline/artifact_cache.h"
+#include "sim/libraries.h"
 #include "sim/scenario.h"
+#include "storage/forkbase_engine.h"
 
 namespace mlcask::pipeline {
 namespace {
@@ -281,6 +283,33 @@ TEST(CacheEvictionTest, ConcurrentChurnRecomputesNotCorrupts) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
+TEST(CacheEvictionTest, LinearRunPinsAtMostItsInputAndOutput) {
+  // A run pins only the tables it still reads: each is released once its
+  // last executing reader finishes. Under a cap smaller than any entry,
+  // every publish evicts everything unpinned, so the high-water mark is the
+  // pinned working set itself — for a chain, the current input plus the
+  // output being published, never the whole run.
+  LibraryRegistry registry;
+  MLCASK_CHECK_OK(sim::RegisterWorkloadLibraries(&registry));
+  auto w = sim::MakeWorkload("readmission", 0.05);
+  MLCASK_CHECK_OK(w.status());
+  ASSERT_TRUE(w->initial.IsChain());
+  storage::ForkBaseEngine engine;
+  SimClock clock;
+  ArtifactCache::Options cap;
+  cap.max_bytes = 1;
+  Executor executor(&registry, &engine, &clock, cap);
+  ExecutorOptions options;
+  options.store_outputs = false;
+  auto run = executor.Run(w->initial, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_GE(run->components.size(), 3u);
+  EXPECT_EQ(executor.executions(), run->components.size());
+  const ArtifactCache::Stats stats = executor.cache_stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.peak_bytes, 2 * stats.largest_entry_bytes);
+}
+
 }  // namespace
 }  // namespace mlcask::pipeline
 
@@ -350,8 +379,8 @@ TEST(MergeCacheCapTest, TightCapRecomputesSameWinner) {
   for (size_t workers : {size_t{1}, size_t{4}}) {
     MergeResultSummary capped = RunScenarioMerge(workers, tight);
     // Bounded residency: the transiently pinned working set (never
-    // evictable — a resume checkpoint plus current input per running
-    // candidate, serial included) may sit on top of the cap.
+    // evictable — a running candidate's current input plus the output it
+    // publishes, serial included) may sit on top of the cap.
     const uint64_t pin_slack = 2 * workers * capped.largest_entry_bytes;
     EXPECT_LE(capped.peak_bytes, tight + pin_slack) << "workers=" << workers;
     EXPECT_GT(capped.evictions, 0u) << "workers=" << workers;

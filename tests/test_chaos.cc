@@ -594,9 +594,7 @@ TEST(ChaosTest, StopDecodesACrashedShardWithSignalAndLogTail) {
   SocketTransport::Options transport_options;
   transport_options.call_timeout_ms = 2000;
   transport_options.redial_budget_ms = 100;  // the server is not coming back
-  auto cluster = ConnectCluster(servers.endpoints(),
-                                ShardedStorageEngine::Options(),
-                                transport_options);
+  auto cluster = ConnectCluster(servers.endpoints(), transport_options);
   if (cluster.ok()) {
     // The first request (possibly the connection hello) killed the server;
     // whichever call observes it must fail typed, not hang.

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "common/logging.h"
 #include "pipeline/executor.h"
 #include "sim/libraries.h"
@@ -73,13 +77,8 @@ TEST_F(DagExecutorTest, DiamondValidatesButIsNotChain) {
   EXPECT_EQ(p.Predecessors("join").size(), 2u);
 }
 
-TEST_F(DagExecutorTest, ChainRunRejectsDag) {
-  EXPECT_EQ(executor_.Run(MakeDiamond(), {}).status().code(),
-            StatusCode::kUnimplemented);
-}
-
-TEST_F(DagExecutorTest, RunDagExecutesDiamondAndScores) {
-  auto result = executor_.RunDag(MakeDiamond(), {});
+TEST_F(DagExecutorTest, RunExecutesDiamondAndScores) {
+  auto result = executor_.Run(MakeDiamond(), {});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->compatibility_failure);
   ASSERT_EQ(result->components.size(), 5u);
@@ -88,17 +87,78 @@ TEST_F(DagExecutorTest, RunDagExecutesDiamondAndScores) {
   EXPECT_EQ(executor_.executions(), 5u);
 }
 
-TEST_F(DagExecutorTest, RunDagAlsoHandlesChains) {
+TEST_F(DagExecutorTest, RunHandlesWorkloadChains) {
   auto w = sim::MakeWorkload("readmission", 0.05);
   ASSERT_TRUE(w.ok());
-  auto chain_result = executor_.RunDag(w->initial, {});
+  auto chain_result = executor_.Run(w->initial, {});
   ASSERT_TRUE(chain_result.ok());
   EXPECT_TRUE(chain_result->has_score());
 }
 
+TEST_F(DagExecutorTest, ChainComponentReceivesItsSingleInput) {
+  // A chain component gets ExecInput::inputs of size 1 (library_registry.h),
+  // so a join-style library works after a single predecessor too — the same
+  // contract a DAG join relies on.
+  Pipeline p("chain_join");
+  auto ds = Spec("dataset", ComponentKind::kDataset, 0, 1, "gen_readmission");
+  ds.params.Set("rows", Json::Int(200));
+  MLCASK_CHECK_OK(p.AddComponent(ds));
+  MLCASK_CHECK_OK(p.AddComponent(Spec("join", ComponentKind::kPreprocessor, 1,
+                                      2, "concat_features")));
+  MLCASK_CHECK_OK(p.AddComponent(
+      Spec("model", ComponentKind::kModel, 2, 3, "train_logreg", 10.0)));
+  MLCASK_CHECK_OK(p.Connect("dataset", "join"));
+  MLCASK_CHECK_OK(p.Connect("join", "model"));
+  ASSERT_TRUE(p.IsChain());
+
+  auto result = executor_.Run(p, {});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->compatibility_failure);
+  EXPECT_TRUE(result->has_score());
+  EXPECT_EQ(executor_.executions(), 3u);
+}
+
+TEST_F(DagExecutorTest, WidthOneRunStaysOnTheCallingThread) {
+  // Merge candidates, prioritized trials and commits run at width 1: every
+  // component executes inline on the caller, even when the run is handed a
+  // shared multi-thread pool, and no pool thread is involved.
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  MLCASK_CHECK_OK(registry_.Register(
+      "record_thread", [&](const ExecInput& in) -> StatusOr<ExecOutput> {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          threads.insert(std::this_thread::get_id());
+        }
+        ExecOutput out;
+        if (in.input != nullptr) out.table = *in.input;
+        return out;
+      }));
+  Pipeline p("inline_chain");
+  for (int i = 0; i < 4; ++i) {
+    MLCASK_CHECK_OK(p.AddComponent(
+        Spec("c" + std::to_string(i),
+             i == 0 ? ComponentKind::kDataset : ComponentKind::kPreprocessor,
+             i == 0 ? 0 : 1, 1, "record_thread")));
+    if (i > 0) {
+      MLCASK_CHECK_OK(
+          p.Connect("c" + std::to_string(i - 1), "c" + std::to_string(i)));
+    }
+  }
+  ExecutionCore shared(3);
+  ExecutorOptions opts;
+  opts.num_workers = 1;
+  opts.core = &shared;
+  auto result = executor_.Run(p, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(shared.stats().tasks_stolen, 0u);
+  EXPECT_EQ(shared.stats().tasks_run, 1u);
+}
+
 TEST_F(DagExecutorTest, DagCacheReusesWholePipeline) {
-  ASSERT_TRUE(executor_.RunDag(MakeDiamond(), {}).ok());
-  auto second = executor_.RunDag(MakeDiamond(), {});
+  ASSERT_TRUE(executor_.Run(MakeDiamond(), {}).ok());
+  auto second = executor_.Run(MakeDiamond(), {});
   ASSERT_TRUE(second.ok());
   for (const auto& c : second->components) {
     EXPECT_TRUE(c.reused) << c.name;
@@ -108,7 +168,7 @@ TEST_F(DagExecutorTest, DagCacheReusesWholePipeline) {
 }
 
 TEST_F(DagExecutorTest, BranchChangeOnlyRerunsAffectedSubgraph) {
-  ASSERT_TRUE(executor_.RunDag(MakeDiamond(), {}).ok());
+  ASSERT_TRUE(executor_.Run(MakeDiamond(), {}).ok());
   // Update only path_b; path_a and the dataset must stay cached, while the
   // join and model (downstream of the change) re-run.
   Pipeline p = MakeDiamond();
@@ -127,7 +187,7 @@ TEST_F(DagExecutorTest, BranchChangeOnlyRerunsAffectedSubgraph) {
   MLCASK_CHECK_OK(updated.Connect("path_b", "join"));
   MLCASK_CHECK_OK(updated.Connect("join", "model"));
 
-  auto result = executor_.RunDag(updated, {});
+  auto result = executor_.Run(updated, {});
   ASSERT_TRUE(result.ok());
   for (const auto& c : result->components) {
     if (c.name == "dataset" || c.name == "path_a") {
@@ -143,7 +203,7 @@ TEST_F(DagExecutorTest, JoinConcatenatesFeatureColumns) {
   Pipeline p = MakeDiamond();
   ExecutorOptions opts;
   opts.store_outputs = true;
-  auto result = executor_.RunDag(p, opts);
+  auto result = executor_.Run(p, opts);
   ASSERT_TRUE(result.ok());
   // Fetch the join output and verify it has columns from both branches.
   const version::ComponentRecord* join_rec = result->snapshot.Find("join");
@@ -175,7 +235,7 @@ TEST_F(DagExecutorTest, RuntimeIncompatibilityDetectedAtJoin) {
 
   ExecutorOptions opts;
   opts.precheck_compatibility = false;
-  auto result = executor_.RunDag(p, opts);
+  auto result = executor_.Run(p, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->compatibility_failure);
   EXPECT_EQ(result->failed_component, "join");
@@ -183,15 +243,15 @@ TEST_F(DagExecutorTest, RuntimeIncompatibilityDetectedAtJoin) {
   // With the precheck the run is refused before any execution.
   executor_.ClearCache();
   uint64_t execs_before = executor_.executions();
-  auto prechecked = executor_.RunDag(p, {});
+  auto prechecked = executor_.Run(p, {});
   ASSERT_TRUE(prechecked.ok());
   EXPECT_TRUE(prechecked->compatibility_failure);
   EXPECT_EQ(executor_.executions(), execs_before);
 }
 
-TEST_F(DagExecutorTest, RunDagNeverConstructsPerCallPools) {
+TEST_F(DagExecutorTest, RunNeverConstructsPerCallPools) {
   // The pool-lifetime regression the shared-core refactor exists for:
-  // repeated RunDag calls must not construct ExecutionCores per call. The
+  // repeated runs must not construct ExecutionCores per call. The
   // fallback path builds exactly one lazy pool per executor; the shared
   // path builds none at all.
   Pipeline p = MakeDiamond();
@@ -199,7 +259,7 @@ TEST_F(DagExecutorTest, RunDagNeverConstructsPerCallPools) {
   for (int i = 0; i < 5; ++i) {
     ExecutorOptions opts;
     opts.num_workers = 2;
-    auto result = executor_.RunDag(p, opts);
+    auto result = executor_.Run(p, opts);
     ASSERT_TRUE(result.ok());
     EXPECT_FALSE(result->compatibility_failure);
   }
@@ -212,7 +272,7 @@ TEST_F(DagExecutorTest, RunDagNeverConstructsPerCallPools) {
     ExecutorOptions opts;
     opts.num_workers = 2;
     opts.core = &shared;
-    auto result = executor_.RunDag(p, opts);
+    auto result = executor_.Run(p, opts);
     ASSERT_TRUE(result.ok());
   }
   EXPECT_EQ(ExecutionCore::instances_created() - with_shared, 0u)

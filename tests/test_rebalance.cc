@@ -99,15 +99,14 @@ TEST(RingPolicyTest, RemovalPlanScattersOnlyTheLeaverKeys) {
 }
 
 /// Satellite: ownership balance. Measured empirically before hard-coding:
-/// at the DEFAULT vnode count the max/min ownership ratio stays under 1.3
+/// at kVirtualNodesPerShard the max/min ownership ratio stays under 1.3
 /// for 2, 4 and 8 shards over 20k keys (16 vnodes skewed to 2.4×, which is
-/// why the default is 384).
+/// why the constant is 384).
 TEST(RingPolicyTest, OwnershipSkewStaysUnder1Point3) {
-  ShardedStorageEngine::Options defaults;
   const std::vector<std::string> keys = ObjectKeys(20000);
   for (size_t shards : {2u, 4u, 8u}) {
-    ShardRing ring =
-        BuildShardRing(0, Slots(shards), defaults.virtual_nodes_per_shard);
+    ShardRing ring = BuildShardRing(
+        0, Slots(shards), ShardedStorageEngine::kVirtualNodesPerShard);
     std::map<size_t, size_t> owned;
     for (const std::string& key : keys) owned[RingOwner(ring, key)] += 1;
     size_t min_owned = keys.size(), max_owned = 0;
@@ -372,9 +371,10 @@ TEST(ElasticClusterTest, ReplayedBatchIsSkippedNotDuplicated) {
   // Compute which keys slot 2 will take, then pre-copy a few of them into
   // the new shard's BACKEND before it joins — exactly the on-disk state a
   // kill -9 between MigrateBatch and the cursor write leaves behind.
-  ShardedStorageEngine::Options defaults;
-  ShardRing from = BuildShardRing(0, Slots(2), defaults.virtual_nodes_per_shard);
-  ShardRing to = BuildShardRing(1, Slots(3), defaults.virtual_nodes_per_shard);
+  ShardRing from = BuildShardRing(0, Slots(2),
+                                  ShardedStorageEngine::kVirtualNodesPerShard);
+  ShardRing to = BuildShardRing(1, Slots(3),
+                                ShardedStorageEngine::kVirtualNodesPerShard);
   std::vector<KeyMove> plan = PlanMigration(from, to, ObjectKeys(40));
   ASSERT_GT(plan.size(), 2u);
   auto backend = std::make_unique<ForkBaseEngine>();
@@ -422,8 +422,7 @@ TEST(ElasticClusterTest, ResumeMigrationSurfacesPlanScanFailures) {
   std::vector<std::unique_ptr<StorageEngine>> shards;
   shards.push_back(std::make_unique<GetFailsEngine>());
   shards.push_back(std::make_unique<ForkBaseEngine>());
-  ShardedStorageEngine cluster(std::move(shards),
-                               ShardedStorageEngine::Options());
+  ShardedStorageEngine cluster(std::move(shards));
   auto resumed = cluster.ResumeMigration(ShardedStorageEngine::MigrationOptions());
   ASSERT_FALSE(resumed.ok());
   EXPECT_TRUE(resumed.IsUnavailable()) << resumed;
@@ -450,8 +449,7 @@ TEST(ElasticClusterTest, RebuiltRouterHonorsTheDurableTopologyRecord) {
       MLCASK_CHECK_OK(backend.status());
       shards.push_back(MakeLoopbackShard(*std::move(backend)));
     }
-    return std::make_unique<ShardedStorageEngine>(
-        std::move(shards), ShardedStorageEngine::Options());
+    return std::make_unique<ShardedStorageEngine>(std::move(shards));
   };
 
   std::map<std::string, std::string> expect;

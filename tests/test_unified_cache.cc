@@ -1,8 +1,8 @@
-// Regression tests for the unified cache namespace: chain runs (Run) and
-// DAG runs (RunDag) key artifacts with the same recursive NodeKey scheme,
-// so a chain and the equivalent linear DAG share cached outputs. Before the
-// unification these lived in two disjoint namespaces and a chain re-run
-// through RunDag recomputed everything.
+// Regression tests for the unified cache namespace: Executor::Run keys every
+// node with the recursive NodeKey scheme, and along a chain those keys fold
+// exactly as ChainKey does — the key merge checkpoints are seeded and looked
+// up under. A chain prefix and the equivalent linear DAG node therefore
+// share one cache entry.
 
 #include <gtest/gtest.h>
 
@@ -31,37 +31,6 @@ class UnifiedCacheTest : public ::testing::Test {
   Pipeline chain_;
 };
 
-TEST_F(UnifiedCacheTest, DagRunReusesChainRunArtifacts) {
-  auto first = executor_.Run(chain_, {});
-  ASSERT_TRUE(first.ok());
-  uint64_t execs = executor_.executions();
-  ASSERT_GT(execs, 0u);
-
-  auto second = executor_.RunDag(chain_, {});
-  ASSERT_TRUE(second.ok());
-  for (const auto& c : second->components) {
-    EXPECT_TRUE(c.reused) << c.name;
-    EXPECT_FALSE(c.executed) << c.name;
-  }
-  EXPECT_EQ(executor_.executions(), execs);
-  EXPECT_DOUBLE_EQ(second->score, first->score);
-  EXPECT_DOUBLE_EQ(second->time.Total(), 0.0);
-}
-
-TEST_F(UnifiedCacheTest, ChainRunReusesDagRunArtifacts) {
-  auto first = executor_.RunDag(chain_, {});
-  ASSERT_TRUE(first.ok());
-  uint64_t execs = executor_.executions();
-
-  auto second = executor_.Run(chain_, {});
-  ASSERT_TRUE(second.ok());
-  for (const auto& c : second->components) {
-    EXPECT_TRUE(c.reused) << c.name;
-  }
-  EXPECT_EQ(executor_.executions(), execs);
-  EXPECT_DOUBLE_EQ(second->score, first->score);
-}
-
 TEST_F(UnifiedCacheTest, ChainKeyMatchesFoldedNodeKey) {
   std::vector<const ComponentVersionSpec*> specs;
   for (const auto& c : chain_.components()) specs.push_back(&c);
@@ -78,12 +47,11 @@ TEST_F(UnifiedCacheTest, ChainKeyMatchesFoldedNodeKey) {
   EXPECT_NE(Executor::ChainKey(prefix), Executor::ChainKey(specs));
 }
 
-TEST_F(UnifiedCacheTest, SeededChainCheckpointServesDagRun) {
+TEST_F(UnifiedCacheTest, SeededChainCheckpointServesRun) {
   // A checkpoint seeded through the chain API (as merge does from commit
-  // history) must be visible to a DAG run of the same pipeline.
+  // history) must be visible to a run of the same pipeline.
   auto prefix_run = executor_.Run(chain_, {});
   ASSERT_TRUE(prefix_run.ok());
-  uint64_t execs = executor_.executions();
 
   Executor fresh(&registry_, &engine_, &clock_);
   std::vector<ComponentVersionSpec> specs = chain_.components();
@@ -93,11 +61,15 @@ TEST_F(UnifiedCacheTest, SeededChainCheckpointServesDagRun) {
   ASSERT_NE(full, nullptr);
   MLCASK_CHECK_OK(fresh.SeedCache(specs, *full, prefix_run->score, "score",
                                   Hash256{}));
-  auto dag = fresh.RunDag(chain_, {});
-  ASSERT_TRUE(dag.ok());
-  EXPECT_TRUE(dag->components.back().reused);
+  auto run = fresh.Run(chain_, {});
+  ASSERT_TRUE(run.ok());
+  for (const auto& c : run->components) {
+    EXPECT_TRUE(c.reused) << c.name;
+    EXPECT_FALSE(c.executed) << c.name;
+  }
   EXPECT_EQ(fresh.executions(), 0u);
-  (void)execs;
+  EXPECT_DOUBLE_EQ(run->score, prefix_run->score);
+  EXPECT_DOUBLE_EQ(run->time.Total(), 0.0);
 }
 
 }  // namespace

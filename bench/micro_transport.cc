@@ -15,7 +15,9 @@
 //      one with the default 256 KiB threshold. GATEs: the streamed
 //      client's peak decoder buffer stays under a quarter of the value
 //      size, and re-sending the same value scores chunk-cache dedup hits
-//      on the server.
+//      on the server. Also reports the SHA-256 throughput of the block
+//      function this CPU dispatched to (sha-ni or scalar), since both ends
+//      rehash every streamed chunk.
 //
 // Flags: --short (CI-sized iteration counts), --json <path> (write
 // BENCH_micro_transport.json for tools/bench_compare.py; the history-gated
@@ -30,6 +32,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
+#include "common/sha256.h"
 #include "storage/forkbase_engine.h"
 #include "storage/remote_engine.h"
 #include "storage/socket_transport.h"
@@ -156,6 +159,27 @@ int main(int argc, char** argv) {
 
   const std::string large = PatternedValue(kLargeSize);
   const long stream_iters = args.short_mode ? 3 : 8;
+
+  // Both ends rehash every streamed chunk, so SHA-256 speed bounds the
+  // streamed lane; report which block function this CPU dispatched to.
+  {
+    const Hash256 expected = Sha256::Digest(large);  // also warms up
+    const double start = NowSeconds();
+    for (long i = 0; i < stream_iters; ++i) {
+      if (Sha256::Digest(large) != expected) {
+        std::fprintf(stderr, "FAIL: SHA-256 of one value changed\n");
+        return 1;
+      }
+    }
+    const double elapsed = NowSeconds() - start;
+    const double sha_bps = static_cast<double>(kLargeSize) *
+                           static_cast<double>(stream_iters) /
+                           (elapsed > 0 ? elapsed : 1e-9);
+    std::printf("  %-10s  %8.1f MB/s   (%s)\n", "sha-256", sha_bps / 1e6,
+                Sha256::Implementation());
+    reporter.Metric("streaming", "sha256_bytes_per_s", sha_bps);
+    reporter.Metric("streaming", "sha256_path", Sha256::Implementation());
+  }
 
   struct Lane {
     const char* name;

@@ -31,7 +31,9 @@ struct Hash256 {
 };
 
 /// Incremental SHA-256 (FIPS 180-4). Self-contained so the library has no
-/// external crypto dependency.
+/// external crypto dependency. Whole 64-byte blocks go through the x86-64
+/// SHA extensions when CPUID reports them, else through a portable scalar
+/// routine; both produce the same digest.
 class Sha256 {
  public:
   Sha256() { Reset(); }
@@ -48,9 +50,10 @@ class Sha256 {
   static Hash256 Digest(std::string_view data);
   static Hash256 Digest(const void* data, size_t len);
 
- private:
-  void ProcessBlock(const uint8_t* block);
+  /// The block function this process runs: "sha-ni" or "scalar".
+  static const char* Implementation();
 
+ private:
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

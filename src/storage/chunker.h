@@ -23,8 +23,9 @@ class Chunker {
 };
 
 /// Fixed-size chunking: simple, but an insertion near the front of a blob
-/// shifts every later boundary, destroying de-duplication. Kept as the
-/// ablation baseline for the chunking design choice (DESIGN.md §7.1).
+/// shifts every later boundary, destroying de-duplication. The ablation
+/// baseline for the chunking design choice (DESIGN.md §7.1), and the cutter
+/// for streamed responses, where no cache dedupes (wire::ResponseChunker).
 class FixedChunker : public Chunker {
  public:
   explicit FixedChunker(size_t chunk_size = 4096);

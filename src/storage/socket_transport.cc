@@ -1209,7 +1209,7 @@ void SocketTransportServer::EnqueueResponse(
              response.size() >= options_.chunk_threshold) {
     // Stream the response: all chunk parts reference ONE shared buffer.
     auto body = std::make_shared<const std::string>(std::move(response));
-    const auto cuts = wire::WireChunker().Split(*body);
+    const auto cuts = wire::ResponseChunker().Split(*body);
     Sha256 manifest;
     parts.reserve(cuts.size() + 1);
     for (const auto& [offset, length] : cuts) {

@@ -845,6 +845,11 @@ const Chunker& WireChunker() {
   return chunker;
 }
 
+const Chunker& ResponseChunker() {
+  static const FixedChunker chunker(64u << 10);
+  return chunker;
+}
+
 std::string EncodeChunkEnd(uint64_t total_bytes, uint64_t chunk_count,
                            const Hash256& manifest) {
   std::string out;

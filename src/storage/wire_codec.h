@@ -253,20 +253,26 @@ std::string DispatchBinary(StorageEngine* engine, std::string_view request);
 
 // ---------------------------------------------------------------------------
 // Chunk streaming (wire version 2): payloads at or above the threshold are
-// cut by the content-defined wire chunker and sent as CHUNK frames sharing
-// the correlation id, terminated by a CHUNK_END frame carrying the manifest.
+// cut (requests content-defined, responses at fixed sizes) and sent as CHUNK
+// frames sharing the correlation id, terminated by a CHUNK_END frame carrying
+// the manifest. The receiver rehashes every chunk whatever the cuts were.
 // ---------------------------------------------------------------------------
 
 /// Default payload size from which transports stream instead of sending one
 /// monolithic frame.
 inline constexpr size_t kDefaultChunkThreshold = 256u << 10;  // 256 KiB
 
-/// The shared content-defined cutter for wire streaming: Gear CDC with
+/// The content-defined cutter for streamed requests: Gear CDC with
 /// 16 KiB / 64 KiB / 256 KiB min/avg/max. Deterministic (fixed gear table),
-/// so both sides of a connection — and different versions of the same
-/// artifact — cut identical content into identical chunks, which is what
-/// makes the receiving shard's chunk cache dedupe across versions.
+/// so every client — and every version of the same artifact — cuts
+/// identical content into identical chunks, which is what makes the
+/// receiving server's chunk cache dedupe across versions.
 const Chunker& WireChunker();
+
+/// The cutter for streamed responses: fixed 64 KiB pieces. Clients keep no
+/// chunk cache, so content-defined cuts would buy no dedup on that side,
+/// only Gear's per-byte cost.
+const Chunker& ResponseChunker();
 
 /// CHUNK_END payload: varint total_bytes, varint chunk_count, 32-byte
 /// manifest (SHA-256 over the concatenated chunk addresses).

@@ -534,6 +534,121 @@ TEST(SocketTransportTest, ChunkStreamedRoundTripBoundsTheReceiveBuffer) {
   EXPECT_EQ(after.physical_bytes, before.physical_bytes);
 }
 
+/// Streamed responses are cut at fixed 64 KiB: a ~1 MiB Get arrives
+/// byte-identical in ceil(n / 64 KiB) CHUNK frames plus one CHUNK_END, n
+/// being the response payload the client reassembled.
+TEST(SocketTransportTest, StreamedGetArrivesInFixed64KiBChunks) {
+  const std::string spec = "unix:" + TempSocketPath("fixed-cuts");
+  auto server = SocketTransportServer::Bind(spec);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ForkBaseEngine backend;
+  StorageEngineService service(&backend);
+  ASSERT_TRUE((*server)
+                  ->Serve([&service](std::string_view request) {
+                    return service.Handle(request);
+                  })
+                  .ok());
+  auto transport = SocketTransport::Connect(spec);
+  ASSERT_TRUE(transport.ok()) << transport.status();
+  SocketTransport* raw = transport->get();
+  RemoteStorageEngine remote(std::move(*transport));
+
+  std::string value((1u << 20) + 4321, '\0');
+  for (size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<char>((i * 2654435761u) >> 13);
+  }
+  ASSERT_TRUE(remote.Put("big", value).ok());
+
+  const TransportStats before = raw->stats();
+  auto got = remote.Get("big");
+  const TransportStats after = raw->stats();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(*got == value);
+  const uint64_t response_bytes = after.response_bytes - before.response_bytes;
+  ASSERT_GE(response_bytes, value.size());
+  constexpr uint64_t kCut = 64u << 10;
+  EXPECT_EQ(after.chunk_frames_received - before.chunk_frames_received,
+            (response_bytes + kCut - 1) / kCut + 1);
+  (*server)->Shutdown();
+}
+
+/// The client direction of the manifest check: a raw server answers every
+/// request with two CHUNK frames and a CHUNK_END whose manifest is wrong.
+/// The call must fail typed within its timeout and never return the bytes,
+/// whether the client fails fast or redials (and meets the same garble).
+TEST(SocketTransportTest, GarbledResponseManifestFailsTheCallTyped) {
+  const std::string path = TempSocketPath("reply-garble");
+  ::unlink(path.c_str());
+  int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(
+      ::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listen_fd, 4), 0);
+  std::thread peer([listen_fd] {
+    for (;;) {
+      int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      FrameDecoder decoder;
+      char buf[4096];
+      bool open = true;
+      while (open) {
+        ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n <= 0) break;
+        decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+        Frame frame;
+        for (;;) {
+          auto next = decoder.Next(&frame);
+          if (!next.ok() || !*next) break;
+          std::string reply;
+          AppendFrame(&reply, FrameType::kChunk, frame.id, "part-one");
+          AppendFrame(&reply, FrameType::kChunk, frame.id, "part-two");
+          Hash256 wrong;
+          wrong.bytes.fill(0xEE);
+          AppendFrame(&reply, FrameType::kChunkEnd, frame.id,
+                      wire::EncodeChunkEnd(16, 2, wrong));
+          if (::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL) < 0) {
+            open = false;
+            break;
+          }
+        }
+      }
+      ::close(fd);
+    }
+  });
+
+  constexpr uint64_t kTimeoutMs = 10000;
+  for (uint64_t redial_budget_ms : {uint64_t{0}, uint64_t{2000}}) {
+    SocketTransport::Options options;
+    options.call_timeout_ms = kTimeoutMs;
+    options.redial_budget_ms = redial_budget_ms;
+    // EXPECTs only until the peer thread is joined.
+    auto transport = SocketTransport::Connect("unix:" + path, options);
+    EXPECT_TRUE(transport.ok()) << transport.status();
+    if (!transport.ok()) break;
+    const auto start = std::chrono::steady_clock::now();
+    auto response = (*transport)->Call("give me bytes");
+    const auto elapsed_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_FALSE(response.ok()) << "redial budget " << redial_budget_ms;
+    EXPECT_FALSE(response.status().IsDeadlineExceeded()) << response.status();
+    EXPECT_LT(static_cast<uint64_t>(elapsed_ms), kTimeoutMs);
+    if (redial_budget_ms == 0) {
+      EXPECT_EQ(response.status().code(), StatusCode::kCorruption)
+          << response.status();
+    }
+    EXPECT_EQ((*transport)->stats().calls, 0u);
+  }
+  ::shutdown(listen_fd, SHUT_RDWR);  // releases the peer's accept
+  peer.join();
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+}
+
 TEST(SocketTransportTest, ChunkEndWithoutStreamClosesTheConnection) {
   const std::string path = TempSocketPath("chunk-orphan");
   auto server = SocketTransportServer::Bind("unix:" + path);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <set>
 #include <unordered_map>
 
 #include "merge/compat_lut.h"
@@ -13,47 +12,115 @@ namespace mlcask::merge {
 
 namespace {
 
-/// Groups candidate indices by their subtree — the leaves under one deepest
-/// shared prefix (the chain minus its final component) — and balances the
-/// groups across `num_shards` shards, longest-processing-time first. A
-/// subtree never splits: its candidates share cached prefixes, and keeping
-/// them on one shard (one trial executor) is what keeps the summed
-/// execution count identical to the single-node drain. Returns per-shard
-/// candidate-index lists in DFS order and fills `shard_of` per candidate.
-std::vector<std::vector<size_t>> PartitionSubtrees(
-    const std::vector<CandidateChain>& candidates, size_t num_shards,
-    std::vector<size_t>* shard_of) {
-  std::unordered_map<Hash256, size_t, Hash256Hasher> group_of;
-  std::vector<std::vector<size_t>> groups;  // first-appearance (DFS) order
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    CandidateChain prefix = candidates[i];
-    if (!prefix.empty()) prefix.pop_back();
-    auto [it, inserted] =
-        group_of.emplace(pipeline::Executor::ChainKey(prefix), groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
+/// Candidates that must drain on one shard, and the virtual seconds the
+/// executor will charge to run them.
+struct WorkUnit {
+  std::vector<size_t> candidates;  ///< DFS indices, ascending.
+  double cost_s = 0;
+};
+
+/// Rows a unit is priced at when it starts at the root: no table sizes it
+/// before its dataset runs, so it weighs cost_per_krow_s alone. Every
+/// root-started unit of one dataset scales the same, so LPT's order holds.
+constexpr double kNominalRows = 1000;
+
+/// What the executor charges `spec` for `rows` input rows.
+double ChargeS(const pipeline::ComponentVersionSpec& spec, double rows) {
+  return spec.cost_per_krow_s * rows / 1000.0;
+}
+
+/// Puts every candidate under `node` (inclusive) into `unit` and charges
+/// each unmarked node once: candidates below an unmarked node share its
+/// output through one shard's cache.
+void FillUnit(const TreeNode& node, double rows, size_t* next_candidate,
+              WorkUnit* unit) {
+  if (!node.executed) unit->cost_s += ChargeS(*node.spec, rows);
+  if (node.is_leaf()) {
+    unit->candidates.push_back((*next_candidate)++);
+    return;
   }
-  // LPT: biggest group onto the least-loaded shard; stable sort and
-  // lowest-index tie-breaks keep the assignment deterministic.
-  std::vector<size_t> order(groups.size());
+  for (const auto& child : node.children) {
+    FillUnit(*child, rows, next_candidate, unit);
+  }
+}
+
+/// Walks the marked nodes under `node` (whose chain is `chain`, and whose
+/// output has `rows` rows): each child that is unmarked, or a marked leaf,
+/// roots one unit.
+void CollectUnits(
+    const TreeNode& node, double rows,
+    const std::unordered_map<Hash256, size_t, Hash256Hasher>& checkpoint_rows,
+    CandidateChain* chain, size_t* next_candidate,
+    std::vector<WorkUnit>* units) {
+  for (const auto& child : node.children) {
+    if (child->executed && !child->is_leaf()) {
+      chain->push_back(child->spec);
+      auto it = checkpoint_rows.find(pipeline::Executor::ChainKey(*chain));
+      CollectUnits(*child,
+                   it != checkpoint_rows.end() ? it->second : rows,
+                   checkpoint_rows, chain, next_candidate, units);
+      chain->pop_back();
+      continue;
+    }
+    units->emplace_back();
+    FillUnit(*child, rows, next_candidate, &units->back());
+  }
+}
+
+/// Places the candidates on `num_shards` shards by cost: longest-processing-
+/// time-first over work units, each unit onto the least-loaded shard. A unit
+/// is the candidates that share their first unmarked tree node (the first
+/// node the executor computes), or one candidate when that node is its leaf
+/// or its whole path is marked. Every node a shard executes therefore
+/// belongs to exactly one unit, so no node runs on two shards and the summed
+/// execution count equals the single-node drain's. Marked prefixes are
+/// seeded into every shard's cache, so units below one checkpoint spread
+/// freely. A unit weighs the virtual seconds its unmarked nodes cost at the
+/// row count of the checkpoint it starts at, which is what the shard's
+/// makespan will be charged. Without output reuse nothing is shared: each
+/// candidate is its own unit at the cost of its full chain. Stable sort and
+/// lowest-index tie-breaks keep the placement deterministic; one shard gets
+/// the whole DFS list. Returns per-shard candidate-index lists in DFS order
+/// and fills `shard_of`.
+std::vector<std::vector<size_t>> PartitionSubtrees(
+    const PipelineSearchTree& tree,
+    const std::vector<CandidateChain>& candidates,
+    const std::unordered_map<Hash256, size_t, Hash256Hasher>& checkpoint_rows,
+    bool reuse_outputs, size_t num_shards, std::vector<size_t>* shard_of) {
+  std::vector<WorkUnit> units;
+  if (reuse_outputs) {
+    CandidateChain chain;
+    size_t next_candidate = 0;
+    CollectUnits(*tree.root(), kNominalRows, checkpoint_rows, &chain,
+                 &next_candidate, &units);
+  } else {
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      WorkUnit unit{{i}, 0};
+      for (const pipeline::ComponentVersionSpec* spec : candidates[i]) {
+        unit.cost_s += ChargeS(*spec, kNominalRows);
+      }
+      units.push_back(std::move(unit));
+    }
+  }
+  std::vector<size_t> order(units.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return groups[a].size() > groups[b].size();
+    return units[a].cost_s > units[b].cost_s;
   });
   std::vector<std::vector<size_t>> shards(num_shards);
-  std::vector<size_t> load(num_shards, 0);
-  for (size_t g : order) {
+  shard_of->assign(candidates.size(), 0);
+  std::vector<double> load(num_shards, 0);
+  for (size_t u : order) {
     const size_t target = static_cast<size_t>(
         std::min_element(load.begin(), load.end()) - load.begin());
-    load[target] += groups[g].size();
-    for (size_t i : groups[g]) shards[target].push_back(i);
+    load[target] += units[u].cost_s;
+    for (size_t i : units[u].candidates) {
+      shards[target].push_back(i);
+      (*shard_of)[i] = target;
+    }
   }
   for (std::vector<size_t>& list : shards) {
     std::sort(list.begin(), list.end());  // DFS order within the shard
-  }
-  shard_of->assign(candidates.size(), 0);
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (size_t i : shards[s]) (*shard_of)[i] = s;
   }
   return shards;
 }
@@ -127,19 +194,29 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
     executors.push_back(std::make_unique<pipeline::Executor>(
         registry_, engine_, /*clock=*/nullptr, cache_options));
   }
-  std::set<Hash256> checkpoint_keys;
+  // Row count of each checkpoint's output, by chain key: it marks the
+  // green nodes and prices the work below them for shard placement.
+  std::unordered_map<Hash256, size_t, Hash256Hasher> checkpoint_rows;
   if (options.reuse_outputs) {
     // The green nodes of Fig. 4, read once and copied into every shard.
     MLCASK_ASSIGN_OR_RETURN(
         std::vector<pipeline::Checkpoint> checkpoints,
         pipeline::ReadCheckpoints(space.history, *libraries_, engine_));
     for (std::unique_ptr<pipeline::Executor>& executor : executors) {
-      MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutor(
-          checkpoints, executor.get(), &checkpoint_keys));
+      MLCASK_RETURN_IF_ERROR(
+          pipeline::SeedExecutor(checkpoints, executor.get()));
+    }
+    for (const pipeline::Checkpoint& checkpoint : checkpoints) {
+      CandidateChain chain;
+      for (const pipeline::ComponentVersionSpec& spec : checkpoint.chain) {
+        chain.push_back(&spec);
+      }
+      checkpoint_rows[pipeline::Executor::ChainKey(chain)] =
+          checkpoint.output->num_rows();
     }
     report.checkpoints_marked =
         tree.MarkCheckpoints([&](const CandidateChain& chain) {
-          return checkpoint_keys.count(pipeline::Executor::ChainKey(chain)) !=
+          return checkpoint_rows.count(pipeline::Executor::ChainKey(chain)) !=
                  0;
         });
   }
@@ -163,12 +240,12 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
   eo.seed = options.seed;
   eo.streamed_handoff = options.streamed_handoff;
 
-  // Assign candidate subtrees to shards. Single-node keeps the whole DFS
-  // list on shard 0 — the partitioner degenerates to one group list there,
-  // so both modes share one drain implementation.
+  // Place the candidates on shards by cost. Single-node keeps the whole DFS
+  // list on shard 0, so both modes share one drain implementation.
   std::vector<size_t> shard_of;
   const std::vector<std::vector<size_t>> shard_lists =
-      PartitionSubtrees(candidates, num_shards, &shard_of);
+      PartitionSubtrees(tree, candidates, checkpoint_rows,
+                        options.reuse_outputs, num_shards, &shard_of);
   report.shards_used = num_shards;
   for (const std::vector<size_t>& list : shard_lists) {
     report.shard_candidates.push_back(list.size());

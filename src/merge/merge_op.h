@@ -50,17 +50,19 @@ struct MergeOptions {
   /// consulted.
   pipeline::ExecutionCore* core = nullptr;
   /// Distributed-merge partitioning (paper Sec. VII-F made real): with
-  /// shards >= 2, Algorithm 2's candidate subtrees — leaves grouped under
-  /// their deepest shared prefix — are assigned to shards by longest-
-  /// processing-time-first balancing, and each shard drains its groups
-  /// through its own trial executor and ExecutionCore on an independent
-  /// virtual timeline (num_workers applies per shard). Winners reduce in
-  /// global DFS order, so the selected winner and the summed
-  /// component_executions are identical to the single-node path whenever
-  /// cross-group shared prefixes are checkpointed (always true for
-  /// two-branch scenario merges: interior levels come from committed
-  /// pipelines); makespan_s becomes the slowest shard's drain. 0/1 =
-  /// single-node (the historical path, bit-for-bit).
+  /// shards >= 2, Algorithm 2's candidates are placed on shards by cost.
+  /// Candidates that share their first unmarked (uncheckpointed) tree node
+  /// form one work unit and stay together; a unit weighs the virtual
+  /// seconds its unmarked nodes cost (cost_per_krow_s x rows), and units
+  /// go longest-first onto the least-loaded shard. Each shard drains its
+  /// candidates through its own trial executor, seeded with every
+  /// checkpoint, and its own ExecutionCore on an independent virtual
+  /// timeline (num_workers applies per shard). No node executes on two
+  /// shards and winners reduce in global DFS order, so the selected
+  /// winner, the summed component_executions and the persisted artifact
+  /// hashes are identical to the single-node path; makespan_s becomes the
+  /// slowest shard's drain. 0/1 = single-node (the historical path,
+  /// bit-for-bit).
   size_t shards = 1;
   /// Byte cap for the trial executor's artifact cache (0 = unbounded): long
   /// merge searches trade recomputation for bounded memory. Leased slots

@@ -1308,6 +1308,16 @@ void SocketTransportServer::Shutdown() {
   ssize_t written = ::write(wake_fd_, &one, sizeof(one));
   (void)written;
   if (loop_thread_.joinable()) loop_thread_.join();
+  // Stop listening before waiting on handlers: a client whose connection
+  // just dropped redials at once, and an open listener would queue it in a
+  // backlog nobody accepts until the slowest handler returns.
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  if (endpoint_.kind == Endpoint::Kind::kUnix) {
+    ::unlink(endpoint_.path.c_str());
+  }
   {
     std::lock_guard<std::mutex> lock(work_mu_);
     workers_stop_ = true;
@@ -1320,13 +1330,6 @@ void SocketTransportServer::Shutdown() {
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   wake_fd_ = epoll_fd_ = -1;
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (endpoint_.kind == Endpoint::Kind::kUnix) {
-    ::unlink(endpoint_.path.c_str());
-  }
   state_.store(ServerState::kStopped, std::memory_order_release);
 }
 

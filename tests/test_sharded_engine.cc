@@ -316,7 +316,7 @@ TEST(RemoteEngineTest, WireProtocolMatchesDirectEngine) {
 
   // Explicit length keeps the embedded NUL and high bytes — exactly what
   // the hex codec must carry intact across the wire.
-  const std::string binary_tail("binary\x00\x01\xff tail", 16);
+  const std::string binary_tail("binary\x00\x01\xff tail!!", 16);
   ASSERT_EQ(binary_tail.size(), 16u);
   const std::string payload = std::string(2048, '\x7f') + binary_tail;
   auto rp = remote.Put("k", payload);
@@ -360,8 +360,45 @@ using sim::Deployment;
 using sim::DeploymentConfig;
 using sim::MakeDeployment;
 
-/// Which scenario the equivalence matrix runs on.
-enum class Scenario { kFig9, kFig11 };
+/// Which scenario a merge runs on.
+enum class Scenario {
+  kFig9,
+  kFig11,
+  /// bench_fig11_distributed's merge: scale 0.12, +2 extractors, +4 models.
+  kFig11Bench,
+  /// dpm with an uncached node two levels above the leaves (see
+  /// BuildUncachedGrandparentScenario).
+  kUncachedGrandparent,
+};
+
+/// dpm's initial pipeline on master; dev changes the two adjacent
+/// preprocessors feature_extract and hmm_processing in one commit, then
+/// bumps the model; master then changes data_cleansing. Under master's new
+/// cleansing output, dev's extractor has no checkpoint: it is the first
+/// unmarked node of its candidates, and both hmm versions below it are
+/// unmarked too, each with two model leaves.
+Status BuildUncachedGrandparentScenario(Deployment* d) {
+  const pipeline::Pipeline& initial = d->workload.initial;
+  MLCASK_RETURN_IF_ERROR(
+      d->RunAndCommit(initial, "master", "alice", "initial").status());
+  auto bumped = [&](const pipeline::Pipeline& p, const std::string& name)
+      -> StatusOr<pipeline::Pipeline> {
+    MLCASK_ASSIGN_OR_RETURN(const pipeline::ComponentVersionSpec* spec,
+                            p.Find(name));
+    return sim::WithComponent(p, sim::BumpIncrement(*spec));
+  };
+  MLCASK_ASSIGN_OR_RETURN(pipeline::Pipeline dev,
+                          bumped(initial, "feature_extract"));
+  MLCASK_ASSIGN_OR_RETURN(dev, bumped(dev, "hmm_processing"));
+  MLCASK_RETURN_IF_ERROR(
+      d->RunAndCommit(dev, "dev", "frank", "extract + hmm 0.1").status());
+  MLCASK_ASSIGN_OR_RETURN(dev, bumped(dev, "dl_model"));
+  MLCASK_RETURN_IF_ERROR(
+      d->RunAndCommit(dev, "dev", "frank", "model 0.1").status());
+  MLCASK_ASSIGN_OR_RETURN(pipeline::Pipeline master,
+                          bumped(initial, "data_cleansing"));
+  return d->RunAndCommit(master, "master", "jane", "cleansing 0.1").status();
+}
 
 struct MergeFingerprint {
   uint64_t executions = 0;
@@ -379,20 +416,38 @@ struct MergeFingerprint {
 
 MergeFingerprint RunMerge(Scenario scenario, size_t shards,
                           uint64_t cache_max_bytes,
-                          bool concurrent_shard_drains = true) {
+                          bool concurrent_shard_drains = true,
+                          bool reuse_outputs = true) {
   DeploymentConfig config;
   config.num_workers = 1;
   config.storage_shards = shards;  // real distributed storage when sharded
-  auto deployment = MakeDeployment("readmission", 0.06, config);
+  auto deployment =
+      scenario == Scenario::kUncachedGrandparent
+          ? MakeDeployment("dpm", 0.06, config)
+          : MakeDeployment("readmission",
+                           scenario == Scenario::kFig11Bench ? 0.12 : 0.06,
+                           config);
   MLCASK_CHECK_OK(deployment.status());
   auto d = *std::move(deployment);
-  if (scenario == Scenario::kFig9) {
-    MLCASK_CHECK_OK(BuildTwoBranchScenario(d.get()).status());
-  } else {
-    MLCASK_CHECK_OK(BuildDistributedMergeScenario(
-                        d.get(), /*extra_extractor_versions=*/2,
-                        /*extra_model_versions=*/2)
-                        .status());
+  switch (scenario) {
+    case Scenario::kFig9:
+      MLCASK_CHECK_OK(BuildTwoBranchScenario(d.get()).status());
+      break;
+    case Scenario::kFig11:
+      MLCASK_CHECK_OK(BuildDistributedMergeScenario(
+                          d.get(), /*extra_extractor_versions=*/2,
+                          /*extra_model_versions=*/2)
+                          .status());
+      break;
+    case Scenario::kFig11Bench:
+      MLCASK_CHECK_OK(BuildDistributedMergeScenario(
+                          d.get(), /*extra_extractor_versions=*/2,
+                          /*extra_model_versions=*/4)
+                          .status());
+      break;
+    case Scenario::kUncachedGrandparent:
+      MLCASK_CHECK_OK(BuildUncachedGrandparentScenario(d.get()));
+      break;
   }
   MergeOperation op(d->repo.get(), d->libraries.get(), d->registry.get(),
                     d->engine.get(), d->clock.get());
@@ -400,6 +455,7 @@ MergeFingerprint RunMerge(Scenario scenario, size_t shards,
   options.shards = shards;
   options.cache_max_bytes = cache_max_bytes;
   options.concurrent_shard_drains = concurrent_shard_drains;
+  options.reuse_outputs = reuse_outputs;
   auto report = op.Merge("master", "dev", options);
   MLCASK_CHECK_OK(report.status());
 
@@ -506,6 +562,44 @@ TEST(ShardedMergeTest, FourShardsSpeedUpTheFig11Drain) {
   // The bench gates >= 2x; the test keeps a safety margin against workload
   // tweaks while still proving real parallelism.
   EXPECT_GT(one.makespan_s / four.makespan_s, 1.5);
+}
+
+/// Cost placement: work units are weighed by the virtual seconds their
+/// unmarked nodes cost, so four shards land within 10% of a perfect
+/// four-way split of the single-node drain, with the identical result.
+TEST(ShardedMergeTest, CostPlacementApproachesIdealMakespan) {
+  MergeFingerprint one = RunMerge(Scenario::kFig11Bench, 1, 0);
+  MergeFingerprint four = RunMerge(Scenario::kFig11Bench, 4, 0);
+  EXPECT_LE(four.makespan_s, 1.10 * one.makespan_s / 4)
+      << "single-node " << one.makespan_s << " s";
+  EXPECT_EQ(four.executions, one.executions);
+  EXPECT_EQ(four.best_index, one.best_index);
+  EXPECT_EQ(four.best_score, one.best_score);
+  EXPECT_EQ(four.winner_chain, one.winner_chain);
+  EXPECT_EQ(four.artifact_hashes, one.artifact_hashes);
+}
+
+/// An uncached node with uncached children: every candidate below it must
+/// drain on one shard, or two shards would both execute it.
+TEST(ShardedMergeTest, UncachedGrandparentRunsOnceAtEveryShardCount) {
+  for (bool reuse_outputs : {true, false}) {
+    SCOPED_TRACE(reuse_outputs ? "reuse" : "no reuse");
+    MergeFingerprint reference =
+        RunMerge(Scenario::kUncachedGrandparent, 1, 0, true, reuse_outputs);
+    EXPECT_EQ(reference.candidates, 16u);
+    const std::vector<size_t> shard_counts =
+        reuse_outputs ? std::vector<size_t>{2, 4} : std::vector<size_t>{4};
+    for (size_t shards : shard_counts) {
+      SCOPED_TRACE(shards);
+      MergeFingerprint sharded = RunMerge(Scenario::kUncachedGrandparent,
+                                          shards, 0, true, reuse_outputs);
+      EXPECT_EQ(sharded.executions, reference.executions);
+      EXPECT_EQ(sharded.best_index, reference.best_index);
+      EXPECT_EQ(sharded.best_score, reference.best_score);
+      EXPECT_EQ(sharded.winner_chain, reference.winner_chain);
+      EXPECT_EQ(sharded.artifact_hashes, reference.artifact_hashes);
+    }
+  }
 }
 
 }  // namespace

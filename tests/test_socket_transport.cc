@@ -368,6 +368,58 @@ TEST(SocketTransportTest, PeerGoneFailsEveryPendingCallInsteadOfHanging) {
   EXPECT_GE(stats.transport_errors, 2u);
 }
 
+/// Shutdown stops listening before it waits on running handlers: a client
+/// whose connection drops redials into a refused connect, so its pending
+/// call fails once the redial budget is spent, not when the slowest handler
+/// finally returns.
+TEST(SocketTransportTest, ShutdownRefusesRedialsWhileAHandlerStillRuns) {
+  const std::string spec = "unix:" + TempSocketPath("shutdown-redial");
+  auto server = SocketTransportServer::Bind(spec);
+  ASSERT_TRUE(server.ok()) << server.status();
+  std::atomic<bool> entered{false};
+  std::mutex hmu;
+  std::condition_variable hcv;
+  bool release_handler = false;
+  ASSERT_TRUE((*server)
+                  ->Serve([&](std::string_view) {
+                    entered.store(true);
+                    std::unique_lock<std::mutex> lock(hmu);
+                    hcv.wait_for(lock, std::chrono::seconds(60),
+                                 [&] { return release_handler; });
+                    return std::string();
+                  })
+                  .ok());
+  SocketTransport::Options options;
+  options.call_timeout_ms = 0;
+  options.redial_budget_ms = 300;
+  auto transport = SocketTransport::Connect(spec, options);
+  ASSERT_TRUE(transport.ok());
+  TransportFuture pending = (*transport)->AsyncCall("held");
+  while (!entered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  std::thread shutdown([&] { (*server)->Shutdown(); });
+  auto result = pending.get();
+  const double waited_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  // The handler is still parked: nobody may be listening any more.
+  auto redial = SocketTransport::Connect(spec);
+  {
+    std::lock_guard<std::mutex> lock(hmu);
+    release_handler = true;
+  }
+  hcv.notify_all();
+  shutdown.join();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsUnavailable()) << result.status();
+  EXPECT_FALSE(redial.ok());
+  // The redial budget (0.3 s) plus scheduling slack; the handler would
+  // have held the call for 60 s.
+  EXPECT_LT(waited_s, 10.0);
+}
+
 TEST(DeferredTest, DeadlineBoundsGetSoAWedgedPeerCannotHangAFanout) {
   // A connected-but-stalled peer never resolves the future and never drops
   // the connection: with a timeout, Get() must come back with

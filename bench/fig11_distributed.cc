@@ -118,7 +118,9 @@ struct ShardPoint {
   double makespan_s = 0;
   double best_score = 0;
   size_t candidates = 0;
-  size_t busiest_shard = 0;  ///< Largest per-shard candidate assignment.
+  /// Mean over max of the per-shard virtual drains: 1.00 when every shard
+  /// finishes together, 1/shards when one shard does all the work.
+  double balance = 0;
   /// 2PC commits during the MERGE itself (scenario-build commits excluded):
   /// the winner's PutMany batch plus the merge-commit metadata write.
   uint64_t merge_two_phase_commits = 0;
@@ -174,8 +176,16 @@ ShardPoint RunRealMerge(size_t shards, bool socket_mode) {
   point.makespan_s = report.makespan_s;
   point.best_score = report.best_score;
   point.candidates = report.candidates_considered;
-  for (size_t n : report.shard_candidates) {
-    point.busiest_shard = std::max(point.busiest_shard, n);
+  double drain_sum = 0;
+  double drain_max = 0;
+  for (double drain_s : report.shard_makespans_s) {
+    drain_sum += drain_s;
+    drain_max = std::max(drain_max, drain_s);
+  }
+  if (drain_max > 0) {
+    point.balance = drain_sum /
+                    static_cast<double>(report.shard_makespans_s.size()) /
+                    drain_max;
   }
   if (sharded != nullptr) {
     auto tp = sharded->two_phase_stats();
@@ -207,7 +217,7 @@ bool RealEngineScaling(const bench::BenchArgs& args, bool socket_mode,
 
   std::printf("fig11 merge scenario: %zu candidates, scale=%.2f\n",
               single.candidates, kScale);
-  std::printf("%8s%8s%10s%14s%10s%10s%12s%8s%10s%10s\n", "shards", "busiest",
+  std::printf("%8s%8s%10s%14s%10s%10s%12s%8s%10s%10s\n", "shards", "balance",
               "execs", "makespan(s)", "measured", "analytic", "best",
               "2pc", "inflight", "wall(ms)");
   bool ok = true;
@@ -215,8 +225,8 @@ bool RealEngineScaling(const bench::BenchArgs& args, bool socket_mode,
   for (const ShardPoint& p : points) {
     const double measured = single.makespan_s / p.makespan_s;
     const double analytic = sim::DistributedSpeedup(p.shards, 0.06);
-    std::printf("%8zu%8zu%10llu%14.2f%9.2fx%9.2fx%12.4f%8llu%10llu%10.1f\n",
-                p.shards, p.busiest_shard,
+    std::printf("%8zu%8.2f%10llu%14.2f%9.2fx%9.2fx%12.4f%8llu%10llu%10.1f\n",
+                p.shards, p.balance,
                 static_cast<unsigned long long>(p.executions), p.makespan_s,
                 measured, analytic, p.best_score,
                 static_cast<unsigned long long>(p.merge_two_phase_commits),
@@ -284,63 +294,6 @@ bool RealEngineScaling(const bench::BenchArgs& args, bool socket_mode,
   return ok;
 }
 
-/// Streamed-prefix-handoff A/B on the distributed-merge scenario: the same
-/// 4-virtual-worker drain charged with legacy full waits vs pipelined chunk
-/// streaming. Runs on the preprocessing-heavy dpm workload — its
-/// schema-bumped hmm_processing stage costs ~3x the model, so cross-branch
-/// candidates genuinely wait on in-flight prefixes — with an INLINE core
-/// (1 real thread), which keeps virtual claim order deterministic: the A/B
-/// is exact, not within jitter. PASS requires identical executions/winner
-/// and streamed makespan <= legacy.
-bool StreamedHandoffAB(bench::JsonReporter* reporter) {
-  bench::Section("Fig. 11 (virtual-time model) — streamed prefix handoff");
-  double makespans[2] = {0, 0};
-  uint64_t execs[2] = {0, 0};
-  double best[2] = {0, 0};
-  for (int streamed = 0; streamed < 2; ++streamed) {
-    auto d = bench::CheckedValue(
-        sim::MakeDeployment("dpm", kScale, /*folder_storage=*/false,
-                            /*num_workers=*/1),
-        "MakeDeployment");
-    bench::CheckOk(sim::BuildDistributedMergeScenario(
-                       d.get(), /*extra_extractor_versions=*/2,
-                       /*extra_model_versions=*/2)
-                       .status(),
-                   "BuildDistributedMergeScenario");
-    merge::MergeOperation op(d->repo.get(), d->libraries.get(),
-                             d->registry.get(), d->engine.get(),
-                             d->clock.get());
-    merge::MergeOptions options;
-    options.num_workers = 4;
-    options.core = d->core.get();
-    options.streamed_handoff = streamed == 1;
-    auto report =
-        bench::CheckedValue(op.Merge("master", "dev", options), "Merge");
-    makespans[streamed] = report.makespan_s;
-    execs[streamed] = report.component_executions;
-    best[streamed] = report.best_score;
-  }
-  const double tightening = 100.0 * (1.0 - makespans[1] / makespans[0]);
-  std::printf("dpm distributed-merge scenario, 4 virtual workers:\n");
-  std::printf("  legacy full-wait makespan:   %8.2f s\n", makespans[0]);
-  std::printf("  streamed handoff makespan:   %8.2f s  (%.1f%% tighter)\n",
-              makespans[1], tightening);
-  bool ok = true;
-  if (execs[0] != execs[1] || best[0] != best[1]) {
-    std::printf("FAIL: streamed charging changed executions or winner\n");
-    ok = false;
-  }
-  if (makespans[1] > makespans[0]) {
-    std::printf("FAIL: streamed handoff INFLATED the makespan\n");
-    ok = false;
-  }
-  reporter->Metric("streamed_handoff", "ab_legacy_makespan_s", makespans[0]);
-  reporter->Metric("streamed_handoff", "ab_streamed_makespan_s",
-                   makespans[1]);
-  reporter->Metric("streamed_handoff", "tightening_pct", tightening);
-  return ok;
-}
-
 }  // namespace
 }  // namespace mlcask
 
@@ -354,7 +307,6 @@ int main(int argc, char** argv) {
   LossVsTime(&reporter);
   SpeedupSurface();
   bool ok = RealEngineScaling(args, socket_mode, &reporter);
-  ok = StreamedHandoffAB(&reporter) && ok;
   reporter.Metric("summary", "pass", ok);
   reporter.Metric("summary", "socket_mode", socket_mode);
   reporter.Write(args.json_path);

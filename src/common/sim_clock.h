@@ -1,8 +1,6 @@
 #ifndef MLCASK_COMMON_SIM_CLOCK_H_
 #define MLCASK_COMMON_SIM_CLOCK_H_
 
-#include <cstdint>
-
 namespace mlcask {
 
 /// A simulated clock measured in seconds.
@@ -38,48 +36,6 @@ class SimClock {
 
  private:
   double now_s_ = 0;
-};
-
-/// The virtual-time model of pipelined chunk streaming (streamed prefix
-/// handoff). A producer materializes an artifact across `chunks` uniform
-/// chunk boundaries between `started_at_s` and `ready_at_s`; a consumer that
-/// reuses the artifact need not wait for the FULL payload — it may begin
-/// processing once the first chunk crosses the handoff boundary, overlapping
-/// its own compute with the producer's tail. The legacy (non-streamed)
-/// charging makes the consumer pay the producer's entire finish time
-/// (SimClock::AdvanceTo(ready_at_s)) before starting; this span encodes the
-/// overlap-adjusted alternative.
-///
-/// With producer per-chunk time p = (ready-started)/chunks and consumer
-/// per-chunk time c = exec/chunks, the classic uniform two-stage pipeline
-/// finishes at started + p + (chunks-1)*max(p, c) + c, which equals
-/// max(first_chunk + exec, ready + exec/chunks). That is never later than
-/// the legacy ready + exec (strictly earlier whenever chunks > 1 and both
-/// stages cost time), so streamed charging tightens makespans and never
-/// inflates them.
-struct StreamSpan {
-  double started_at_s = 0;  ///< Producer's virtual start.
-  double ready_at_s = 0;    ///< Producer's virtual finish (last chunk).
-  uint32_t chunks = 1;      ///< Uniform chunk boundaries streamed.
-
-  /// Whether the span carries any overlap to exploit.
-  bool streamable() const {
-    return chunks > 1 && ready_at_s > started_at_s;
-  }
-
-  /// Virtual time the first chunk becomes consumable.
-  double FirstChunkReadyS() const {
-    return started_at_s +
-           (ready_at_s - started_at_s) / static_cast<double>(chunks);
-  }
-
-  /// Earliest virtual finish of a consumer spending `consumer_exec_s` total
-  /// compute on the stream: it still has to process the LAST chunk after the
-  /// producer publishes it, so the finish is floored at
-  /// ready + consumer_exec/chunks even when the consumer is fast.
-  double ConsumerTailFloorS(double consumer_exec_s) const {
-    return ready_at_s + consumer_exec_s / static_cast<double>(chunks);
-  }
 };
 
 /// Accumulates the time-composition buckets the paper reports in Figs. 6/9:

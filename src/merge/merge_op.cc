@@ -238,7 +238,6 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
   eo.precheck_compatibility = false;
   eo.store_outputs = options.store_trial_outputs;
   eo.seed = options.seed;
-  eo.streamed_handoff = options.streamed_handoff;
 
   // Place the candidates on shards by cost. Single-node keeps the whole DFS
   // list on shard 0, so both modes share one drain implementation.
@@ -247,9 +246,6 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
       PartitionSubtrees(tree, candidates, checkpoint_rows,
                         options.reuse_outputs, num_shards, &shard_of);
   report.shards_used = num_shards;
-  for (const std::vector<size_t>& list : shard_lists) {
-    report.shard_candidates.push_back(list.size());
-  }
 
   const size_t num_workers = std::max<size_t>(1, options.num_workers);
   std::vector<pipeline::PipelineRunResult> runs(candidates.size());
@@ -362,7 +358,10 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
           std::chrono::steady_clock::now() - drain_wall_start)
           .count();
   double makespan = clock_start;
-  for (double m : shard_makespans) makespan = std::max(makespan, m);
+  for (double m : shard_makespans) {
+    makespan = std::max(makespan, m);
+    report.shard_makespans_s.push_back(m - clock_start);
+  }
   report.makespan_s = makespan - clock_start;
   if (clock_ != nullptr) clock_->AdvanceTo(makespan);
 

@@ -84,14 +84,6 @@ struct MergeOptions {
   /// of the lowest-numbered failing shard, where the sequential dispatch
   /// stops at the first failing shard.
   bool concurrent_shard_drains = true;
-  /// Streamed prefix handoff in the virtual-time model (see
-  /// ExecutorOptions::streamed_handoff): candidates that reuse an artifact
-  /// still being produced on another worker's timeline charge
-  /// overlap-adjusted wait (start at the first chunk boundary) instead of
-  /// the producer's full finish time. Tightens makespan_s, never inflates
-  /// it; executions and the winner are charging-invariant. False restores
-  /// the legacy full-wait charging for A/B comparison.
-  bool streamed_handoff = true;
 };
 
 /// One executed (or skipped) pre-merge pipeline candidate.
@@ -129,11 +121,12 @@ struct MergeReport {
   /// Sharded merges aggregate across the per-shard caches (byte fields sum,
   /// so peak_bytes upper-bounds the true concurrent peak).
   pipeline::ArtifactCache::Stats cache_stats;
-  /// Sharded-drain accounting: how many shards drained candidates and how
-  /// many candidates each was assigned (single-node reports one entry
-  /// holding the full candidate count).
+  /// Sharded-drain accounting: how many shards drained candidates and each
+  /// shard's virtual drain time, in seconds from the merge's clock origin
+  /// (single-node reports one entry, equal to makespan_s). makespan_s is
+  /// the largest entry.
   size_t shards_used = 1;
-  std::vector<size_t> shard_candidates;
+  std::vector<double> shard_makespans_s;
   /// REAL (steady-clock) wall time of the candidate-drain phase, in
   /// milliseconds — the one deliberately non-virtual number in the report,
   /// measuring how well concurrent shard drains use the host's cores

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/sha256.h"
-#include "common/sim_clock.h"
 #include "data/table.h"
 
 namespace mlcask::pipeline {
@@ -31,23 +30,11 @@ struct ArtifactEntry {
   Hash256 output_id;
   /// Virtual (sim-clock) time at which the producing worker finished this
   /// artifact. A worker that reuses the entry advances its own clock to at
-  /// least this point — the waiting cost of sharing work across workers —
-  /// unless streamed handoff applies (see `stream_span`).
+  /// least this point — the waiting cost of sharing work across workers:
+  /// the whole output must be published before a consumer can start.
   double ready_at_s = 0;
-  /// Stream watermark published with the entry: the producer's virtual start
-  /// and the number of uniform chunk boundaries its output streamed across.
-  /// Together with `ready_at_s` this is the per-chunk progress record a
-  /// consumer needs to charge overlap-adjusted wait instead of the full
-  /// finish time (streamed prefix handoff — see StreamSpan in sim_clock.h).
-  /// Checkpoint seeds keep the defaults (not streamable: they were
-  /// materialized before the run).
-  double started_at_s = 0;
-  uint32_t stream_chunks = 1;
 
   bool has_score() const { return !std::isnan(score); }
-  StreamSpan stream_span() const {
-    return StreamSpan{started_at_s, ready_at_s, stream_chunks};
-  }
 };
 
 /// A concurrent artifact cache with per-key in-flight guards. This is the

@@ -20,19 +20,6 @@ uint64_t MixSeed(uint64_t seed, const Hash256& key) {
   return seed;
 }
 
-/// Chunk boundaries an output table streams across — the granularity of
-/// streamed prefix handoff. Row-deterministic (never wall-clock- or
-/// worker-dependent) so charged times are reproducible; capped so the
-/// overlap model stays coarse-grained rather than pretending per-row
-/// pipelining.
-uint32_t StreamChunksFor(const data::Table& table) {
-  constexpr uint32_t kMaxStreamChunks = 8;
-  const size_t rows = table.num_rows();
-  if (rows < 2) return 1;
-  return static_cast<uint32_t>(
-      std::min<size_t>(kMaxStreamChunks, rows));
-}
-
 }  // namespace
 
 Hash256 Executor::NodeKey(const ComponentVersionSpec& spec,
@@ -183,10 +170,6 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
     std::string metric;
     std::map<std::string, double> metrics;
     double finish_s = 0;  ///< Virtual time when this task's worker finished.
-    /// Set when this node's reuse was charged as a stream (first chunk
-    /// only): executing successors apply the tail floor from `stream`.
-    bool streamed = false;
-    StreamSpan stream;
   };
   std::vector<TaskOutcome> outcomes(n);
 
@@ -211,15 +194,7 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
       if (!options.precheck_compatibility &&
           !pred_spec->CompatibleWith(*spec)) {
         // Runtime incompatibility: upstream components have already burned
-        // their time (the baselines' behaviour in Fig. 5). The failing
-        // component never consumed its streamed inputs, so it pays every
-        // streamed predecessor's FULL finish, keeping failure timing
-        // conservative.
-        for (size_t flush_pi : deps[i]) {
-          if (outcomes[flush_pi].streamed) {
-            task_clock->AdvanceTo(outcomes[flush_pi].stream.ready_at_s);
-          }
-        }
+        // their time (the baselines' behaviour in Fig. 5).
         std::lock_guard<std::mutex> lock(fail_mu);
         if (failed_component.empty()) failed_component = spec->name;
         return Status::Incompatible("runtime schema mismatch at " +
@@ -247,17 +222,7 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
     size_t rows = inputs.empty() ? out.table.num_rows() : input_rows;
     slot.info.exec_s =
         spec->cost_per_krow_s * static_cast<double>(rows) / 1000.0;
-    const double exec_start_s = task_clock->Now();
     task_clock->Advance(slot.info.exec_s);
-    // Streamed predecessors: this node started at their first chunk
-    // boundary (the scheduler's ready_time edge) but cannot finish before
-    // processing each producer's LAST chunk.
-    for (size_t pi : deps[i]) {
-      if (outcomes[pi].streamed) {
-        task_clock->AdvanceTo(
-            outcomes[pi].stream.ConsumerTailFloorS(slot.info.exec_s));
-      }
-    }
 
     if (out.has_score()) {
       slot.has_score = true;
@@ -279,15 +244,11 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
     }
 
     ArtifactEntry entry;
-    entry.stream_chunks = StreamChunksFor(out.table);
     entry.table = std::move(out.table);
     entry.score = out.score;
     entry.metric = out.metric;
     entry.metrics = std::move(out.metrics);
     entry.output_id = slot.info.output_id;
-    // The stream watermark: consumers overlap with [started_at_s,
-    // ready_at_s] (compute + storage) in stream_chunks uniform boundaries.
-    entry.started_at_s = exec_start_s;
     entry.ready_at_s = task_clock->Now();
     if (lease != nullptr) {
       slot.entry = cache_.Fulfill(lease, std::move(entry));
@@ -326,18 +287,7 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
       }
       // Waiting for an artifact another worker finishes later in virtual
       // time costs exactly that wait; on a serial timeline it is a no-op.
-      // Streamed handoff: when an executing successor consumes this table,
-      // finish (= the successor's ready edge) at the first chunk boundary
-      // and let the successor's tail floor account the producer's finish.
-      // A reused sink, or a node only cache hits read, pays the full finish.
-      const StreamSpan span = entry->stream_span();
-      if (options.streamed_handoff && readers[i] > 0 && span.streamable()) {
-        task_clock->AdvanceTo(span.FirstChunkReadyS());
-        slot.stream = span;
-        slot.streamed = true;
-      } else {
-        task_clock->AdvanceTo(entry->ready_at_s);
-      }
+      task_clock->AdvanceTo(entry->ready_at_s);
       slot.entry = std::move(entry);
     };
 
@@ -361,15 +311,6 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
     // computing this node, wait for its result instead of recomputing it.
     ArtifactCache::Acquired acquired = cache_.Acquire(node_keys[i]);
     if (acquired.entry != nullptr) {
-      // A planned-executing node that turned into a runtime cache hit
-      // (another run published it) consumes no streams: charge streamed
-      // predecessors their full finish first — this node's reuse time
-      // comes from ANOTHER run's timeline and cannot vouch for them.
-      for (size_t pi : deps[i]) {
-        if (outcomes[pi].streamed) {
-          task_clock->AdvanceTo(outcomes[pi].stream.ready_at_s);
-        }
-      }
       reuse_entry(std::move(acquired.entry));
       return Status::Ok();
     }
@@ -418,13 +359,6 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
       for (TaskOutcome& slot : outcomes) {
         if (slot.processed) {
           failed_makespan = std::max(failed_makespan, slot.finish_s);
-          // A streamed reuse whose consumer was cancelled by the failure
-          // recorded only its first-chunk time; the failed run still pays
-          // the producer's full finish.
-          if (slot.streamed) {
-            failed_makespan =
-                std::max(failed_makespan, slot.stream.ready_at_s);
-          }
           result.components.push_back(std::move(slot.info));
           result.time.storage_s += result.components.back().storage_s;
           double exec_s = result.components.back().exec_s;

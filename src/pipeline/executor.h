@@ -42,20 +42,6 @@ struct ExecutorOptions {
   /// here instead of the executor's constructor clock — parallel searches
   /// give each worker its own timeline this way.
   SimClock* clock = nullptr;
-  /// Streamed prefix handoff (virtual-time pipelined chunk streaming).
-  /// When a run reuses an artifact another worker finishes at a LATER
-  /// virtual time, the legacy charging advances this run's clock to the
-  /// producer's full finish (`ready_at_s`) before anything else happens.
-  /// With streaming on, the consumer instead starts once the producer's
-  /// FIRST chunk crosses the handoff boundary and overlaps its own compute
-  /// with the producer's tail; its finish is floored so it still processes
-  /// the last chunk after the producer publishes it (see StreamSpan). The
-  /// charged wait is never larger than the legacy one, so makespans only
-  /// tighten; executions, scores, and winners are charging-invariant. A
-  /// candidate whose FINAL component is a reuse still pays the full finish
-  /// time — its score is not known before the producer completes. Set
-  /// false to preserve the legacy full-wait charging (A/B comparison).
-  bool streamed_handoff = true;
   /// Shared long-lived ExecutionCore (non-owning; must outlive the run).
   /// When set, Run schedules on it instead of the executor's own
   /// fallback pool — one deployment-wide pool serves every run and merge

@@ -949,11 +949,9 @@ void SocketTransportServer::ReadReady(
                  options_.max_queued_bytes);
         if (!shed) {
           std::lock_guard<std::mutex> lock(connection->mu);
-          shed = (options_.max_conn_queued_jobs > 0 &&
-                  connection->jobs.size() >= options_.max_conn_queued_jobs) ||
-                 (options_.max_conn_queued_bytes > 0 &&
-                  connection->queued_bytes + payload_bytes >
-                      options_.max_conn_queued_bytes);
+          shed = connection->jobs.size() >= kMaxConnQueuedJobs ||
+                 connection->queued_bytes + payload_bytes >
+                     kMaxConnQueuedBytes;
         }
         if (shed) {
           shed_jobs_.fetch_add(1, std::memory_order_relaxed);

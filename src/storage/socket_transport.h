@@ -263,6 +263,12 @@ enum class ServerState : uint8_t {
 /// peer's pending calls as Unavailable instead of hanging them.
 class SocketTransportServer : public TransportServer {
  public:
+  /// Per-connection admission caps: one connection may hold at most this
+  /// many queued-but-unserved jobs and payload bytes (see
+  /// Options::max_queued_jobs for the shed rule).
+  static constexpr size_t kMaxConnQueuedJobs = 1024;
+  static constexpr size_t kMaxConnQueuedBytes = 64u << 20;
+
   struct Options {
     uint32_t max_frame_payload = kMaxFramePayload;
     /// Responses at or above this size stream as chunk frames. 0 disables
@@ -277,17 +283,17 @@ class SocketTransportServer : public TransportServer {
     std::shared_ptr<FaultInjector> injector;
 
     /// Admission control: hard caps on the queued-but-unserved work the
-    /// server will hold. A DATA frame arriving past any cap is SHED — it is
+    /// server will hold, server-wide here and per connection via
+    /// kMaxConnQueuedJobs/kMaxConnQueuedBytes. A DATA frame arriving past
+    /// any cap is SHED — it is
     /// answered immediately with a typed ResourceExhausted ERROR frame and
     /// never enters the worker queue, so queue depth and RSS stay bounded no
     /// matter how far offered load exceeds capacity. Chunk-stream frames are
     /// never shed mid-stream (dropping one would corrupt reassembly); their
     /// cost is bounded by max_frame_payload + chunk_cache_bytes. 0 = that
-    /// cap unbounded.
+    /// server-wide cap unbounded.
     size_t max_queued_jobs = 4096;          ///< Server-wide job count cap.
     size_t max_queued_bytes = 256u << 20;   ///< Server-wide job bytes cap.
-    size_t max_conn_queued_jobs = 1024;     ///< Per-connection job count cap.
-    size_t max_conn_queued_bytes = 64u << 20;  ///< Per-connection bytes cap.
   };
 
   /// Binds and listens. unix: paths are unlinked first (stale socket files

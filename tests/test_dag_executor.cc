@@ -280,6 +280,58 @@ TEST_F(DagExecutorTest, RunNeverConstructsPerCallPools) {
   EXPECT_EQ(shared.stats().batches_run, 5u);
 }
 
+TEST_F(DagExecutorTest, ReuseWaitsForTheProducersFullFinish) {
+  // The one wait rule for shared artifacts: a run that reuses an output
+  // another run published advances its clock to that output's ready_at_s,
+  // the producer's full finish. Run A starts at t=100 on its own clock;
+  // run B starts at t=0, reuses A's dataset -> extract prefix, and must
+  // finish no earlier than that prefix's ready time plus B's own model
+  // seconds.
+  auto chain = [](int model_variant) {
+    Pipeline p("chain");
+    auto ds = Spec("dataset", ComponentKind::kDataset, 0, 1,
+                   "gen_readmission");
+    ds.params.Set("rows", Json::Int(300));
+    MLCASK_CHECK_OK(p.AddComponent(ds));
+    MLCASK_CHECK_OK(p.AddComponent(Spec("extract",
+                                        ComponentKind::kPreprocessor, 1, 2,
+                                        "extract_ehr_features", 5.0)));
+    auto model =
+        Spec("model", ComponentKind::kModel, 2, 3, "train_logreg", 10.0);
+    model.params.Set("variant", Json::Int(model_variant));
+    MLCASK_CHECK_OK(p.AddComponent(model));
+    MLCASK_CHECK_OK(p.Connect("dataset", "extract"));
+    MLCASK_CHECK_OK(p.Connect("extract", "model"));
+    return p;
+  };
+
+  SimClock clock_a;
+  clock_a.AdvanceTo(100.0);
+  ExecutorOptions run_a;
+  run_a.clock = &clock_a;
+  Pipeline producer = chain(0);
+  ASSERT_TRUE(executor_.Run(producer, run_a).ok());
+  std::vector<const ComponentVersionSpec*> prefix;
+  for (const ComponentVersionSpec& spec : producer.components()) {
+    if (spec.name != "model") prefix.push_back(&spec);
+  }
+  ArtifactCache::EntryPtr shared = executor_.FindCachedEntry(prefix);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_GT(shared->ready_at_s, 100.0);
+
+  SimClock clock_b;
+  ExecutorOptions run_b;
+  run_b.clock = &clock_b;
+  auto consumer = executor_.Run(chain(1), run_b);
+  ASSERT_TRUE(consumer.ok()) << consumer.status().ToString();
+  ASSERT_EQ(consumer->components.size(), 3u);
+  EXPECT_TRUE(consumer->components[1].reused);
+  const ComponentRunInfo& model = consumer->components[2];
+  ASSERT_TRUE(model.executed);
+  EXPECT_GT(model.exec_s, 0.0);
+  EXPECT_GE(clock_b.Now(), shared->ready_at_s + model.exec_s);
+}
+
 TEST_F(DagExecutorTest, ConcatRequiresLabel) {
   // A join whose inputs carry no label is a hard library error.
   data::Table no_label;

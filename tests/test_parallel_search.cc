@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "merge/merge_op.h"
 #include "merge/prioritized.h"
 #include "sim/scenario.h"
 
@@ -111,6 +112,52 @@ TEST_F(ParallelSearchTest, RandomModeParallelCoversAllCandidates) {
   std::set<size_t> seen;
   for (const SearchStep& s : trial.steps) seen.insert(s.candidate_index);
   EXPECT_EQ(seen.size(), search_->num_candidates());
+}
+
+enum class MergeScenario { kFig9, kFig11 };
+
+/// One Algorithm 2 merge of the dpm workload on a fresh deployment with an
+/// inline core (1 real thread), so virtual claim order is deterministic at
+/// any virtual width. dpm's schema-bumped preprocessor costs ~3x its model,
+/// so at 4 virtual workers cross-branch candidates reuse prefixes that a
+/// sibling timeline is still producing and wait for their full finish.
+MergeReport RunDpmMerge(MergeScenario scenario, size_t virtual_workers) {
+  auto deployment = sim::MakeDeployment("dpm", 0.06,
+                                        /*folder_storage=*/false,
+                                        /*num_workers=*/1);
+  MLCASK_CHECK_OK(deployment.status());
+  auto d = *std::move(deployment);
+  if (scenario == MergeScenario::kFig9) {
+    MLCASK_CHECK_OK(
+        sim::BuildTwoBranchScenario(d.get(), /*extra_model_versions=*/4)
+            .status());
+  } else {
+    MLCASK_CHECK_OK(sim::BuildDistributedMergeScenario(
+                        d.get(), /*extra_extractor_versions=*/2,
+                        /*extra_model_versions=*/2)
+                        .status());
+  }
+  MergeOperation op(d->repo.get(), d->libraries.get(), d->registry.get(),
+                    d->engine.get(), d->clock.get());
+  MergeOptions options;
+  options.num_workers = virtual_workers;
+  options.core = d->core.get();
+  auto report = op.Merge("master", "dev", options);
+  MLCASK_CHECK_OK(report.status());
+  return *std::move(report);
+}
+
+TEST(ParallelMergeTest, WaitingOnSharedPrefixesKeepsResultAndShrinksMakespan) {
+  for (MergeScenario scenario : {MergeScenario::kFig9, MergeScenario::kFig11}) {
+    SCOPED_TRACE(scenario == MergeScenario::kFig9 ? "fig9" : "fig11");
+    MergeReport serial = RunDpmMerge(scenario, 1);
+    MergeReport parallel = RunDpmMerge(scenario, 4);
+    EXPECT_EQ(parallel.component_executions, serial.component_executions);
+    EXPECT_EQ(parallel.best_index, serial.best_index);
+    EXPECT_EQ(parallel.best_score, serial.best_score);
+    EXPECT_GT(parallel.makespan_s, 0.0);
+    EXPECT_LE(parallel.makespan_s, serial.makespan_s);
+  }
 }
 
 }  // namespace

@@ -415,7 +415,7 @@ TEST(ElasticClusterTest, ReplayedBatchIsSkippedNotDuplicated) {
 /// failure must surface; only NotFound means "no plan here".
 TEST(ElasticClusterTest, ResumeMigrationSurfacesPlanScanFailures) {
   struct GetFailsEngine : ForkBaseEngine {
-    StatusOr<std::string> Get(const std::string& key) override {
+    StatusOr<std::string> Get(const std::string& /*key*/) override {
       return Status::Unavailable("injected: shard unreachable");
     }
   };
